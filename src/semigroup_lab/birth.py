@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .bands import band_solve, from_bands, to_bands
 from .generators import StandardGeneratorSpec
 from .operators import as_operator
 from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence
@@ -146,19 +147,12 @@ def birth_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndar
     rho = as_operator(rho)
     dim = rho.shape[0]
     mu = rates.mu_array(0, dim)
-    root = np.sqrt(mu)
-    denom = lam + 0.5 * (mu[:, None] + mu[None, :])
-    weight = np.outer(root, root) / denom
-    out = rho.astype(complex).copy()
-    # accumulate sum_k p^k rho[n-k, m-k] by shifting a running product:
-    # S_k[i, j] = p^k_{i+k, j+k} rho[i, j] and S_{k+1} = S_k[:-1,:-1] * w[k:,k:]
-    shifted = rho.astype(complex)
-    for k in range(1, dim):
-        shifted = shifted[:-1, :-1] * weight[k - 1:-1, k - 1:-1]
-        if not shifted.any():
-            break
-        out[k:, k:] += shifted
-    return out / denom
+    level = np.arange(dim)
+    # row i of band d sits at levels (i, i + d); padding rows get a clamped level
+    mu_m = mu[np.minimum(level[:, None] + level, dim - 1)]
+    x = _solve_bands(lam, mu[:, None, None], mu_m[:, None],
+                     np.stack(to_bands(rho), axis=1))
+    return from_bands(x[:, 0], x[:, 1])
 
 
 def birth_resolvent_entry(rates: RateSequence, lam: float, rho: EntryAccessor,
@@ -171,17 +165,21 @@ def birth_resolvent_entry(rates: RateSequence, lam: float, rho: EntryAccessor,
     if lam <= 0:
         raise ValueError("lambda must be positive")
     entry = _entry_accessor(rho)
-    mu_n, mu_m = rates.mu(n), rates.mu(m)
-    total = entry(n, m)
-    p = 1.0
-    for k in range(1, min(n, m) + 1):
-        a, b = rates.mu(n - k), rates.mu(m - k)
-        # sqrt before multiplying: a*b overflows long before sqrt(a)*sqrt(b)
-        p *= math.sqrt(a) * math.sqrt(b) / (lam + 0.5 * (a + b))
-        if p == 0.0:
-            break
-        total += p * entry(n - k, m - k)
-    return total / (lam + 0.5 * (mu_n + mu_m))
+    s = min(n, m)
+    if s < 0:
+        raise RateRangeError("entry indices must be nonnegative")
+    source = np.array([entry(n - k, m - k) for k in range(s, -1, -1)], dtype=complex)
+    return complex(_solve_bands(lam, rates.mu_array(n - s, s + 1),
+                                rates.mu_array(m - s, s + 1), source)[-1])
+
+
+def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
+                 source: np.ndarray) -> np.ndarray:
+    """Solve (lambda - G) X = source down axis 0 of a band stack whose row i
+    holds the levels with rates (mu_n, mu_m), one level above row i - 1."""
+    # sqrt before multiplying: mu_n*mu_m overflows long before sqrt*sqrt
+    weight = np.roll(np.sqrt(mu_n) * np.sqrt(mu_m), 1, axis=0)
+    return band_solve(source, weight, lam + 0.5 * (mu_n + mu_m))
 
 
 def _entry_accessor(rho: EntryAccessor) -> Callable[[int, int], complex]:
@@ -261,9 +259,12 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
 
 def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> float:
     """Normalization loss in Laplace picture: 1 - lambda * tr(R_lambda rho)
-    over the truncation carried by rho."""
+    over the truncation carried by rho; the trace needs the diagonal band only."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     rho = as_operator(rho)
-    return 1.0 - lam * float(np.real(np.trace(birth_resolvent(rates, lam, rho))))
+    mu = rates.mu_array(0, rho.shape[0])
+    return 1.0 - lam * float(np.real(_solve_bands(lam, mu, mu, np.diagonal(rho)).sum()))
 
 
 def band_functional(rates: RateSequence, rho: EntryAccessor, q: int,
@@ -375,7 +376,6 @@ def geometric_band_decay(rates: RateSequence, q: int, lam: float,
     Every product factor on the q-th band is bounded by
     gamma = 2 a^{q/2} / (1 + a^q) < 1, so F(n) is dominated by the
     convolution envelope sum_k gamma^k |<n-k|rho|n-k+q>| and decays to zero.
-    Products are accumulated in log space to dodge premature underflow.
     """
     if not isinstance(rates, GeometricRates):
         raise TypeError("geometric_band_decay requires geometric rates")
@@ -386,27 +386,17 @@ def geometric_band_decay(rates: RateSequence, q: int, lam: float,
     a = rates.a
     gamma = 2.0 * a ** (q / 2.0) / (1.0 + a ** q)
     entry = _entry_accessor(rho)
-    f_values = []
-    envelope = []
-    for n in sorted(int(v) for v in n_values):
-        m = n + q
-        log_p = 0.0
-        total = entry(n, m)
-        env = abs(entry(n, m))
-        for k in range(1, n + 1):
-            mu_a, mu_b = rates.mu(n - k), rates.mu(m - k)
-            log_p += 0.5 * (math.log(mu_a) + math.log(mu_b)) \
-                - math.log(lam + 0.5 * (mu_a + mu_b))
-            r = entry(n - k, m - k)
-            if r != 0.0:
-                total += math.exp(log_p) * r
-            env += gamma ** k * abs(r)
-        mid = 0.5 * (rates.mu(n) + rates.mu(m))
-        f_values.append(abs(mid / (lam + mid) * total))
-        envelope.append(env)
-    return BandDecayTable(q=q, gamma=gamma,
-                          n_values=tuple(sorted(int(v) for v in n_values)),
-                          f_values=tuple(f_values), envelope=tuple(envelope))
+    n_sorted = sorted(int(v) for v in n_values)
+    length = n_sorted[-1] + 1 if n_sorted else 0
+    source = np.array([entry(j, j + q) for j in range(length)], dtype=complex)
+    mu = rates.mu_array(0, length + q)
+    resolved = _solve_bands(lam, mu[:length], mu[q:], source)
+    envelope = band_solve(np.abs(source), gamma, 1.0)
+    f_values = tuple(float(abs(0.5 * (rates.mu(n) + rates.mu(n + q)) * resolved[n]))
+                     for n in n_sorted)
+    return BandDecayTable(q=q, gamma=gamma, n_values=tuple(n_sorted),
+                          f_values=f_values,
+                          envelope=tuple(float(envelope[n]) for n in n_sorted))
 
 
 def leading_column_report(rates: RateSequence, lam: float, rho: np.ndarray

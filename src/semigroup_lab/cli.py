@@ -27,7 +27,7 @@ from .diffusion import KernelGrid, QuadratureError, apply_resolvent, \
     apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
 from .nonstandard import falsifier_report, reset_contraction_report
-from .operators import MatrixExponentialError, trace_norm
+from .operators import MatrixExponentialError, matrix_unit, trace_norm
 from .rates import RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
 from .trajectories import BiasCheckError, TrajectoryStreams, \
@@ -155,12 +155,12 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     tail_tol = config.get("tail_tol", 1e-12)
     if dim < 2:
         raise ConfigError("N must be at least 2")
+    if not 0 <= n_start < dim:
+        raise ConfigError("n_start must lie in [0, N)")
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[n_start, n_start] = 1.0
-        defect = conservativity_defect(rates, lam, rho)
+        defect = conservativity_defect(rates, lam, matrix_unit(n_start, n_start, dim))
         rows.append((lam, bracket.value, bracket.width, defect))
     writer.csv("arrival.csv",
                ("lambda", "product_value", "bracket_width", "defect_truncated"),
@@ -215,10 +215,12 @@ def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
 def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
+    if dim < 2:
+        raise ConfigError("N must be at least 2")
     report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
     contraction = reset_contraction_report(
         lambda l, x: birth_resolvent(rates, l, x),
-        _ground_state(dim), lam)
+        matrix_unit(0, 0, dim), lam)
     writer.json("nonstandard.json", {
         "p11": contraction.p11,
         "interior_max_deviation": report.interior_max_deviation,
@@ -226,12 +228,6 @@ def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
         "base_defect": report.base_defect,
         "reset_residual": report.reset_residual,
     })
-
-
-def _ground_state(dim: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
 
 
 def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
@@ -319,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads, 0 = auto (current build runs "
-                            "sequentially; results never depend on this)")
     return parser
 
 
@@ -329,8 +322,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config, args.subcommand)
-        if args.threads < 0:
-            raise ConfigError("--threads must be >= 0")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         writer = _Writer(out_dir, args.subcommand, args.seed)

@@ -28,6 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfc as _scipy_erfc
 
+from .bands import from_bands, to_bands
+
 
 class QuadratureError(ValueError):
     """Grid cannot support the requested evolution: either the far-edge tail
@@ -139,40 +141,15 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _offset_diagonals(values: np.ndarray, lower: bool) -> np.ndarray:
-    """Column d holds the d-th offset diagonal: values[k+d, k] (lower) or
-    values[k, k+d] (upper), zero-padded."""
-    n = values.shape[0]
-    v = np.zeros_like(values)
-    for d in range(n):
-        diag = np.diagonal(values, offset=-d if lower else d)
-        v[:n - d, d] = diag
-    return v
-
-
-def _assemble_from_offsets(low: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Inverse of _offset_diagonals: out[j+d, j] = low[j, d],
-    out[j, j+d] = up[j, d]."""
-    n = low.shape[0]
-    out = np.zeros((n, n), dtype=np.result_type(low, up))
-    for d in range(n):
-        idx = np.arange(n - d)
-        out[idx + d, idx] = low[idx, d]
-        if d > 0:
-            out[idx, idx + d] = up[idx, d]
-    return out
-
-
 def _apply_image_kernel(kernel: KernelGrid, profile: np.ndarray) -> KernelGrid:
     """Contract the image-kernel matrix profile[m, k] against the offset
     diagonals of the kernel; profile rows vanish identically at m = 0, which
     pins the absorbing boundary."""
     w = _trapezoid_weights(kernel.npoints, kernel.h)
     weighted = profile * w[None, :]
-    low = weighted @ _offset_diagonals(kernel.values, lower=True)
-    up = weighted @ _offset_diagonals(kernel.values, lower=False)
+    low, up = to_bands(kernel.values)
     return KernelGrid(X=kernel.X, h=kernel.h,
-                      values=_assemble_from_offsets(low, up))
+                      values=from_bands(weighted @ low, weighted @ up))
 
 
 def apply_semigroup(kernel: KernelGrid, t: float,

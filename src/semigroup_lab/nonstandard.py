@@ -20,7 +20,7 @@ import numpy as np
 from .birth import band_domain_element, birth_generator, birth_resolvent, \
     conservativity_defect
 from .operators import as_operator, is_positive_semidefinite, \
-    matrix_exponential_apply, rank_one, trace_norm
+    matrix_exponential_apply, matrix_unit, rank_one, trace_norm
 from .rates import RateSequence
 
 
@@ -133,8 +133,7 @@ def falsifier_report(rates: RateSequence, dim: int,
     """
     spec = birth_generator(rates, dim)
     if reset_state is None:
-        reset_state = np.zeros((dim, dim), dtype=complex)
-        reset_state[0, 0] = 1.0
+        reset_state = matrix_unit(0, 0, dim)
     gen_hat = TraceResetGenerator(base=spec, reset_state=reset_state)
 
     rng = np.random.default_rng(seed)

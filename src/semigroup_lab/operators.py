@@ -91,17 +91,10 @@ def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.
 
 
 def choi_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Block matrix with (i, j) block superop(E_ij); PSD iff the map is CP."""
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            out = np.asarray(superop(matrix_unit(i, j, dim)), dtype=complex)
-            if out.shape != (dim, dim):
-                raise ValueError(
-                    f"superoperator output has shape {out.shape}, expected {(dim, dim)}"
-                )
-            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = out
-    return c
+    """Block matrix with (i, j) block superop(E_ij); PSD iff the map is CP.
+    A reshuffle of superop_matrix: (a*dim + b, i*dim + j) -> (i*dim + a, j*dim + b)."""
+    m = superop_matrix(superop, dim).reshape(dim, dim, dim, dim)
+    return m.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
 
 
 def matrix_exponential_apply(

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .birth import birth_generator, no_event_resolvent
-from .generators import apply_jump
+from .bands import band_solve
 from .operators import as_operator
 from .rates import RateSequence
 
@@ -146,15 +145,18 @@ def empirical_laplace(samples: Sequence[TrajectorySample], lam: float,
 def n_event_laplace_term(rates: RateSequence, lam: float, k: int,
                          rho: np.ndarray) -> float:
     """Laplace weight of the k-event sector: tr(R0 (P R0)^k rho) for the
-    birth model."""
+    birth model.  Weight starting on level s sits on level s + i after i
+    events, so one sweep over i serves every s inside the truncation."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     rho = as_operator(rho)
-    spec = birth_generator(rates, rho.shape[0])
-    w = no_event_resolvent(rates, lam, rho)
-    for _ in range(k):
-        w = no_event_resolvent(rates, lam, apply_jump(spec, w))
-    return float(np.real(np.trace(w)))
+    if rho.shape[0] < 2 or lam <= 0:
+        raise ValueError("need at least two levels and a positive lambda")
+    mu = rates.mu_array(0, rho.shape[0])
+    level = np.arange(k + 1)[:, None] + np.arange(rho.shape[0] - k)
+    source = np.zeros(level.shape)
+    source[0] = np.diagonal(rho).real[:level.shape[1]]
+    return float(band_solve(source, mu[level - 1], lam + mu[level])[-1].sum())
 
 
 def event_count_estimator(samples: Sequence[TrajectorySample], lam: float,

@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+
+from semigroup_lab import (
+    GeometricRates,
+    PolynomialRates,
+    birth_generator,
+    birth_resolvent,
+    conservativity_defect,
+    geometric_band_decay,
+    matrix_unit,
+    resolvent_direct,
+)
+from semigroup_lab.bands import band_solve, from_bands, to_bands
+
+from conftest import random_operator
+
+
+def _bidiagonal_solve(rhs, weight, denom):
+    """Reference: denom[i] x[i] - weight[i] x[i-1] = rhs[i] as a banded solve."""
+    ab = np.zeros((2, len(denom)), dtype=complex)
+    ab[0] = denom
+    ab[1, :-1] = -weight[1:]
+    return solve_banded((1, 0), ab, rhs)
+
+
+class TestBandSolve:
+    def test_single_band_matches_banded_solve(self, rng):
+        n = 40
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        weight = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        denom = 2.0 + rng.random(n) + 1j * rng.standard_normal(n)
+        x = band_solve(rhs, weight, denom)
+        ref = _bidiagonal_solve(rhs, weight, denom)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_band_stack_matches_column_solves(self, rng):
+        n, cols = 30, 7
+        rhs = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+        weight = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+        denom = 2.0 + rng.random((n, cols)) + 1j * rng.standard_normal((n, cols))
+        x = band_solve(rhs, weight, denom)
+        for c in range(cols):
+            ref = _bidiagonal_solve(rhs[:, c], weight[:, c], denom[:, c])
+            assert np.abs(x[:, c] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_scalar_coefficients_broadcast(self):
+        x = band_solve(np.array([1.0, 0.0, 0.0, 2.0]), 0.5, 1.0)
+        assert np.array_equal(x, [1.0, 0.5, 0.25, 2.125])
+
+    def test_empty_band(self):
+        assert band_solve(np.zeros(0), 0.5, 1.0).shape == (0,)
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_round_trip_is_exact(self, dim, rng):
+        a = random_operator(dim, rng)
+        assert np.array_equal(from_bands(*to_bands(a)), a)
+
+    def test_columns_hold_offset_diagonals(self, rng):
+        a = rng.standard_normal((5, 5))
+        low, up = to_bands(a)
+        for d in range(5):
+            assert np.array_equal(low[:5 - d, d], np.diagonal(a, offset=-d))
+            assert np.array_equal(up[:5 - d, d], np.diagonal(a, offset=d))
+            assert not low[5 - d:, d].any() and not up[5 - d:, d].any()
+
+
+class TestDiagonalBandRoutes:
+    @pytest.mark.parametrize("rates", [PolynomialRates(1.0, 2.0), GeometricRates(1.5)])
+    def test_defect_matches_full_resolvent_trace(self, rates, rng):
+        dim, lam = 25, 0.7
+        rho = random_operator(dim, rng)
+        full = 1.0 - lam * np.trace(birth_resolvent(rates, lam, rho)).real
+        assert conservativity_defect(rates, lam, rho) == pytest.approx(full, abs=1e-12)
+
+    def test_geometric_decay_matches_dense_resolvent(self, rng):
+        rates, lam, q, dim = GeometricRates(2.0), 1.0, 2, 20
+        rho = random_operator(dim, rng)
+        n_values = [0, 3, 9, dim - q - 1]
+        table = geometric_band_decay(rates, q, lam, rho, n_values)
+        dense = resolvent_direct(birth_generator(rates, dim), lam, rho)
+        for n, f in zip(n_values, table.f_values):
+            mid = 0.5 * (rates.mu(n) + rates.mu(n + q))
+            assert f == pytest.approx(abs(mid * dense[n, n + q]), rel=1e-12)
+
+    def test_geometric_decay_envelope_is_convolution(self):
+        rates, q = GeometricRates(2.0), 1
+        table = geometric_band_decay(rates, q, 1.0, matrix_unit(0, 1, 2), [0, 4])
+        assert table.envelope == pytest.approx((1.0, table.gamma ** 4), rel=1e-14)

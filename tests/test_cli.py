@@ -185,6 +185,22 @@ class TestConfigValidation:
         code = run(["birth", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("n_start", [-1, 10, 11])
+    def test_birth_start_level_outside_truncation_exits_2(self, tmp_path, capsys,
+                                                          n_start):
+        code, out = run_cli(tmp_path, "birth",
+                            {"rates": "geom:2", "lambda": 1.0, "N": 10,
+                             "n_start": n_start})
+        assert code == 2
+        assert "config error: n_start" in capsys.readouterr().err
+        assert not (out / "arrival.csv").exists()
+
+    def test_nonstandard_single_level_exits_2(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "nonstandard",
+                          {"rates": "poly:1:2", "N": 1, "lambda": 1, "t": 1})
+        assert code == 2
+        assert "config error: N" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation_version(self):
