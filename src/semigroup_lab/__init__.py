@@ -58,6 +58,7 @@ from .nonstandard import (
 )
 from .operators import (
     MatrixExponentialError,
+    NonFiniteError,
     choi_matrix,
     is_positive_semidefinite,
     is_selfadjoint,
@@ -65,6 +66,7 @@ from .operators import (
     matrix_exponential_operator,
     matrix_unit,
     rank_one,
+    superop_blocks,
     superop_matrix,
     trace_norm,
 )

@@ -27,43 +27,63 @@ from .diffusion import KernelGrid, QuadratureError, apply_resolvent, \
     apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
 from .nonstandard import falsifier_report, reset_contraction_report
-from .operators import MatrixExponentialError, matrix_unit, trace_norm
+from .operators import MatrixExponentialError, NonFiniteError, matrix_unit, \
+    trace_norm
 from .rates import RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
 from .trajectories import BiasCheckError, TrajectoryStreams, \
     empirical_laplace, sample_trajectories, shift_arrival_density
 
 _NUMERICAL_FAILURES = (SeriesDivergenceError, BiasCheckError, QuadratureError,
-                       RateRangeError, MatrixExponentialError)
+                       RateRangeError, MatrixExponentialError, NonFiniteError)
 
 
 class ConfigError(ValueError):
     pass
 
 
-# per-subcommand schema: key -> (type check, required)
-_NUMBER = ("number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# per-subcommand schema: key -> (type check, required, range check or None);
+# a range check applies to every number of a list
+_NUMBER = ("finite number", lambda v: isinstance(v, (int, float))
+           and not isinstance(v, bool) and _finite(v))
 _INT = ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STR = ("string", lambda v: isinstance(v, str))
-_LAMBDAS = ("number or list of numbers",
+_LAMBDAS = ("finite number or list of finite numbers",
             lambda v: _NUMBER[1](v) or (isinstance(v, list) and v
                                         and all(_NUMBER[1](x) for x in v)))
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_AT_LEAST_2 = ("at least 2", lambda v: v >= 2)
 
 SCHEMAS = {
-    "birth": {"rates": (_STR, True), "lambda": (_LAMBDAS, True), "N": (_INT, True),
-              "n_start": (_INT, False), "tail_tol": (_NUMBER, False)},
-    "minimal": {"rates": (_STR, True), "lambda": (_NUMBER, True),
-                "N": (_INT, True), "tol": (_NUMBER, True)},
-    "trajectory": {"rates": (_STR, True), "lambda": (_LAMBDAS, True),
-                   "samples": (_INT, True), "horizon": (_NUMBER, True),
-                   "max_jumps": (_INT, True), "n_start": (_INT, False)},
-    "nonstandard": {"rates": (_STR, True), "N": (_INT, True),
-                    "lambda": (_NUMBER, True), "t": (_NUMBER, True)},
-    "diffusion": {"X": (_NUMBER, True), "h": (_NUMBER, True),
-                  "t": (_NUMBER, True), "lambda": (_NUMBER, True),
-                  "kernel": (_STR, False)},
-    "shift-demo": {"X": (_NUMBER, True), "h": (_NUMBER, True),
-                   "psi": (_STR, True)},
+    "birth": {"rates": (_STR, True, None), "lambda": (_LAMBDAS, True, _POSITIVE),
+              "N": (_INT, True, _AT_LEAST_2), "n_start": (_INT, False, None),
+              "tail_tol": (_NUMBER, False, _POSITIVE)},
+    "minimal": {"rates": (_STR, True, None), "lambda": (_NUMBER, True, _POSITIVE),
+                "N": (_INT, True, _AT_LEAST_2), "tol": (_NUMBER, True, _POSITIVE)},
+    "trajectory": {"rates": (_STR, True, None),
+                   "lambda": (_LAMBDAS, True, _NONNEGATIVE),
+                   "samples": (_INT, True, _AT_LEAST_1),
+                   "horizon": (_NUMBER, True, _POSITIVE),
+                   "max_jumps": (_INT, True, _AT_LEAST_1),
+                   "n_start": (_INT, False, _NONNEGATIVE)},
+    "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _AT_LEAST_2),
+                    "lambda": (_NUMBER, True, _POSITIVE),
+                    "t": (_NUMBER, True, _NONNEGATIVE)},
+    "diffusion": {"X": (_NUMBER, True, _POSITIVE), "h": (_NUMBER, True, _POSITIVE),
+                  "t": (_NUMBER, True, _POSITIVE),
+                  "lambda": (_NUMBER, True, _POSITIVE),
+                  "kernel": (_STR, False, None)},
+    "shift-demo": {"X": (_NUMBER, True, _POSITIVE), "h": (_NUMBER, True, _POSITIVE),
+                   "psi": (_STR, True, None)},
 }
 
 _COLUMNS = {
@@ -85,6 +105,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"refusing to write the non-finite value {value}")
         return f"{value:.17g}"
     return str(value)
 
@@ -104,13 +126,17 @@ def _load_config(path: str, subcommand: str) -> dict:
     for key in config:
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for '{subcommand}'")
-    for key, ((type_name, check), required) in schema.items():
+    for key, ((type_name, check), required, bound) in schema.items():
         if key not in config:
             if required:
                 raise ConfigError(f"missing config key {key!r} for '{subcommand}'")
             continue
-        if not check(config[key]):
+        value = config[key]
+        if not check(value):
             raise ConfigError(f"config key {key!r} must be a {type_name}")
+        if bound is not None and not all(
+                map(bound[1], value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{key} must be {bound[0]}")
     return config
 
 
@@ -132,16 +158,19 @@ class _Writer:
 
     def csv(self, name: str, columns, rows) -> Path:
         path = self.out_dir / name
+        lines = [",".join(_fmt(v) for v in row) + "\n" for row in rows]
         with open(path, "w", newline="") as fh:
             fh.write(self.header + "\n")
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(lines)
         return path
 
     def json(self, name: str, payload: dict) -> Path:
         path = self.out_dir / name
-        body = json.dumps(payload, indent=2, sort_keys=True)
+        try:
+            body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise NonFiniteError(f"refusing to write {name}: {exc}") from None
         with open(path, "w", newline="") as fh:
             fh.write(self.header + "\n")
             fh.write(body + "\n")
@@ -153,8 +182,6 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     dim = config["N"]
     n_start = config.get("n_start", 0)
     tail_tol = config.get("tail_tol", 1e-12)
-    if dim < 2:
-        raise ConfigError("N must be at least 2")
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
     rows = []
@@ -170,8 +197,6 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
 def _run_minimal(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, tol = config["N"], float(config["lambda"]), float(config["tol"])
-    if dim < 2:
-        raise ConfigError("N must be at least 2")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
@@ -215,8 +240,6 @@ def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
 def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
-    if dim < 2:
-        raise ConfigError("N must be at least 2")
     report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
     contraction = reset_contraction_report(
         lambda l, x: birth_resolvent(rates, l, x),
@@ -230,16 +253,32 @@ def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     })
 
 
+def _spec_numbers(spec_text: str, fields) -> list:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ConfigError(f"spec {spec_text!r} needs numeric parameters") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"spec {spec_text!r} needs finite parameters")
+    return values
+
+
 def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
     parts = spec_text.split(":")
     if parts[0] == "bump" and len(parts) == 3:
-        center, width = float(parts[1]), float(parts[2])
+        center, width = _spec_numbers(spec_text, parts[1:])
         if width <= 0:
             raise ConfigError("bump width must be positive")
         profile = lambda x: math.exp(-0.5 * ((x - center) / width) ** 2)
-        return KernelGrid.from_profile(profile, X, h)
+        try:
+            return KernelGrid.from_profile(profile, X, h)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad kernel grid: {exc}") from None
     if parts[0] == "csv" and len(parts) >= 2:
-        kernel = KernelGrid.from_csv(":".join(parts[1:]))
+        try:
+            kernel = KernelGrid.from_csv(":".join(parts[1:]))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad kernel CSV: {exc}") from None
         if abs(kernel.X - X) > 1e-12 or abs(kernel.h - h) > 1e-12:
             raise ConfigError("kernel CSV grid does not match the configured X, h")
         return kernel
@@ -268,12 +307,12 @@ def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
 def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
     parts = spec_text.split(":")
     if parts[0] == "gauss" and len(parts) == 3:
-        center, width = float(parts[1]), float(parts[2])
+        center, width = _spec_numbers(spec_text, parts[1:])
         if width <= 0:
             raise ConfigError("gauss width must be positive")
         return np.exp(-0.5 * ((x - center) / width) ** 2)
     if parts[0] == "box" and len(parts) == 3:
-        a, b = float(parts[1]), float(parts[2])
+        a, b = _spec_numbers(spec_text, parts[1:])
         if not a < b:
             raise ConfigError("box needs a < b")
         return ((x >= a) & (x <= b)).astype(float)
@@ -283,8 +322,8 @@ def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
 
 def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
-    if h <= 0 or X <= 0 or round(X / h) < 2:
-        raise ConfigError("need X > 0 and h > 0 with at least two grid steps")
+    if round(X / h) < 2:
+        raise ConfigError("need at least two grid steps")
     x = h * np.arange(round(X / h) + 1)
     psi = _build_profile(config["psi"], x)
     table = shift_arrival_density(psi, h)
@@ -302,6 +341,13 @@ _RUNNERS = {
 }
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semigroup-lab",
@@ -314,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, description=f"Outputs: {_COLUMNS[name]}")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed (u64)")
     return parser
 
 

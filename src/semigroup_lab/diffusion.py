@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import erfc as _scipy_erfc
 
 from .bands import from_bands, to_bands
+from .operators import NonFiniteError
 
 
 class QuadratureError(ValueError):
@@ -57,7 +58,7 @@ class KernelGrid:
                 f"values shape {values.shape} does not match grid ({m + 1}, {m + 1})"
             )
         if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("kernel values must be finite")
+            raise NonFiniteError("kernel values must be finite")
         object.__setattr__(self, "values", values)
 
     @property
@@ -90,7 +91,10 @@ class KernelGrid:
     def to_csv(self, path, header: str = None) -> None:
         """First row is grid metadata (X, h); complex entries use the python
         literal form 'a+bj'.  An optional '#' comment line may precede the
-        metadata."""
+        metadata.  Non-finite values raise NonFiniteError before the file is
+        opened."""
+        if not np.isfinite(self.values).all():
+            raise NonFiniteError("refusing to write non-finite kernel values")
         with open(path, "w", newline="") as fh:
             if header is not None:
                 fh.write(header.rstrip("\n") + "\n")

@@ -1,8 +1,9 @@
 """Resolvent calculus: direct solves, the minimal-solution series, and the
 Euler reconstruction of the semigroup from its resolvent.
 
-The direct resolvent treats a superoperator as a dense dim^2 x dim^2 matrix
-and solves (lambda - G) X = rho.  The series builds the perturbed resolvent
+The direct resolvent solves (lambda - G) X = rho on the dim^2 x dim^2 matrix
+of the superoperator, one dense solve per block of its nonzero pattern
+(`superop_blocks`).  The series builds the perturbed resolvent
 
     R_lambda = sum_n R0 (P R0)^n
 
@@ -19,8 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .operators import as_operator, is_positive_semidefinite, is_selfadjoint, \
-    superop_matrix, trace_norm
+from .operators import as_operator, blockwise, is_positive_semidefinite, \
+    is_selfadjoint, superop_blocks, superop_matrix, trace_norm
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -38,31 +39,38 @@ class ResolventSeriesResult:
 
 def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
                      rho: np.ndarray) -> np.ndarray:
-    """Solve (lambda - gen) X = rho by a dense linear solve."""
+    """Solve (lambda - gen) X = rho by a dense linear solve per block of the
+    superoperator matrix."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
     dim = rho.shape[0]
     m = superop_matrix(gen, dim)
-    a = lam * np.eye(dim * dim, dtype=complex) - m
-    x = np.linalg.solve(a, rho.ravel())
+    rhs = rho.ravel()
+    x = np.empty_like(rhs)
+    for b in superop_blocks(m):
+        x[b] = np.linalg.solve(lam * np.eye(b.size) - m[np.ix_(b, b)], rhs[b])
     return x.reshape(dim, dim)
 
 
 def direct_resolvent_factory(gen: Callable[[np.ndarray], np.ndarray], dim: int
                              ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Reusable (lam, rho) -> resolvent solver, LU-factored once per lambda."""
+    """Reusable (lam, rho) -> resolvent solver, one LU factorization per block
+    of the superoperator matrix, made once per lambda."""
     m = superop_matrix(gen, dim)
-    eye = np.eye(dim * dim, dtype=complex)
+    blocks = [(b, m[np.ix_(b, b)]) for b in superop_blocks(m)]
     cache: dict = {}
 
     def solve(lam: float, rho: np.ndarray) -> np.ndarray:
         if lam <= 0:
             raise ValueError("lambda must be positive")
         if lam not in cache:
-            cache[lam] = lu_factor(lam * eye - m)
-        rho = as_operator(rho)
-        return lu_solve(cache[lam], rho.ravel()).reshape(dim, dim)
+            cache[lam] = [lu_factor(lam * np.eye(b.size) - mb) for b, mb in blocks]
+        rhs = as_operator(rho).ravel()
+        x = np.empty_like(rhs)
+        for (b, _), lu in zip(blocks, cache[lam]):
+            x[b] = lu_solve(lu, rhs[b])
+        return x.reshape(dim, dim)
 
     return solve
 
@@ -133,7 +141,7 @@ def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
     """Reconstruct exp(tG) rho as ((n/t) R_{n/t})^n rho.
 
     For n exceeding dim^2 the n-fold application is carried out by binary
-    powering of the dense resolvent matrix.
+    powering of each block of the resolvent's superoperator matrix.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -148,7 +156,8 @@ def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
             out = lam * resolvent(lam, out)
         return out
     b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
-    return (np.linalg.matrix_power(b, n) @ rho.ravel()).reshape(dim, dim)
+    power = blockwise(b, lambda block: np.linalg.matrix_power(block, n))
+    return (power @ rho.ravel()).reshape(dim, dim)
 
 
 def domain_element(resolvent: Callable[[float, np.ndarray], np.ndarray],

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from semigroup_lab import StandardGeneratorSpec, TraceResetGenerator, \
+    birth_generator, matrix_unit
+from semigroup_lab.rates import PolynomialRates
+
 settings.register_profile("ci", deadline=None, max_examples=50)
 settings.load_profile("ci")
 
@@ -34,3 +38,18 @@ def random_vector(dim, rng, interior=False, normalize=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def block_maps(dim, rng):
+    """Generators with a known block count of their superoperator matrix:
+    the birth generator and its trace reset into |0><0| (2*dim - 1
+    offset-diagonal blocks each), and a random dense standard generator
+    (one block)."""
+    birth = birth_generator(PolynomialRates(1.0, 2.0), dim)
+    reset = TraceResetGenerator(base=birth, reset_state=matrix_unit(0, 0, dim))
+    jump = random_operator(dim, rng)
+    h = random_operator(dim, rng)
+    dense = StandardGeneratorSpec(K=0.5j * (h + h.conj().T) - 0.5 * jump.conj().T @ jump,
+                                  jumps=(jump,))
+    return {"birth": (birth, 2 * dim - 1), "reset": (reset, 2 * dim - 1),
+            "dense": (dense, 1)}

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from semigroup_lab import KernelGrid, __version__
-from semigroup_lab.cli import run
+from semigroup_lab import KernelGrid, NonFiniteError, __version__
+from semigroup_lab.cli import _Writer, run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -200,6 +200,117 @@ class TestConfigValidation:
                           {"rates": "poly:1:2", "N": 1, "lambda": 1, "t": 1})
         assert code == 2
         assert "config error: N" in capsys.readouterr().err
+
+
+BIRTH = {"rates": "geom:2", "lambda": 1.0, "N": 10}
+MINIMAL = {"rates": "poly:1:2", "lambda": 1, "N": 5, "tol": 1e-10}
+NONSTANDARD = {"rates": "poly:1:2", "N": 5, "lambda": 1, "t": 1}
+TRAJECTORY = {"rates": "geom:2", "lambda": 1.0, "samples": 10, "horizon": 5.0,
+              "max_jumps": 5}
+DIFFUSION = {"X": 4.0, "h": 0.05, "t": 0.5, "lambda": 1.0}
+SHIFT = {"X": 8.0, "h": 0.01, "psi": "gauss:2:0.4"}
+
+
+def assert_clean_exit(capsys, code, expected, prefix):
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("subcommand, base, change", [
+        ("birth", BIRTH, {"lambda": -1}),
+        ("birth", BIRTH, {"lambda": 0}),
+        ("birth", BIRTH, {"lambda": [1.0, 0.0]}),
+        ("birth", BIRTH, {"tail_tol": 0}),
+        ("minimal", MINIMAL, {"lambda": 0}),
+        ("minimal", MINIMAL, {"tol": 0}),
+        ("nonstandard", NONSTANDARD, {"lambda": 0}),
+        ("nonstandard", NONSTANDARD, {"t": -1}),
+        ("trajectory", TRAJECTORY, {"lambda": -1}),
+        ("trajectory", TRAJECTORY, {"samples": 0}),
+        ("trajectory", TRAJECTORY, {"horizon": 0}),
+        ("trajectory", TRAJECTORY, {"max_jumps": 0}),
+        ("trajectory", TRAJECTORY, {"n_start": -1}),
+        ("diffusion", DIFFUSION, {"h": 0}),
+        ("diffusion", DIFFUSION, {"t": 0}),
+        ("shift-demo", SHIFT, {"X": -8}),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, subcommand, base, change):
+        code, out = run_cli(tmp_path, subcommand, {**base, **change})
+        assert_clean_exit(capsys, code, 2, f"config error: {next(iter(change))} must be")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text('{"rates": "geom:2", "N": 10, "lambda": %s}' % text)
+        code = run(["birth", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_clean_exit(capsys, code, 2, "config error: config key 'lambda'")
+
+    def test_nonstandard_zero_time_is_allowed(self, tmp_path):
+        code, out = run_cli(tmp_path, "nonstandard", {**NONSTANDARD, "t": 0})
+        assert code == 0
+        assert read_json(out / "nonstandard.json")["reset_residual"] == 0.0
+
+    @pytest.mark.parametrize("seed", ["-3", "abc"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["birth", "--config", write_config(tmp_path, BIRTH),
+                 "--out", str(tmp_path / "out"), "--seed", seed])
+        assert_clean_exit(capsys, exit_info.value.code, 2, "usage:")
+
+
+class TestSpecParsing:
+    @pytest.mark.parametrize("subcommand, payload", [
+        ("diffusion", {**DIFFUSION, "kernel": "bump:abc:1"}),
+        ("diffusion", {**DIFFUSION, "kernel": "bump:1:inf"}),
+        ("diffusion", {**DIFFUSION, "h": 0.3}),
+        ("diffusion", {**DIFFUSION, "kernel": "csv:absent-kernel.csv"}),
+        ("shift-demo", {**SHIFT, "psi": "gauss:1:x"}),
+        ("shift-demo", {**SHIFT, "psi": "box:nan:1"}),
+    ])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, subcommand, payload):
+        code, _ = run_cli(tmp_path, subcommand, payload)
+        assert_clean_exit(capsys, code, 2, "config error:")
+
+    def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "kernel.csv"
+        path.write_text("4,0.05\n1,x\n")
+        code, _ = run_cli(tmp_path, "diffusion", {**DIFFUSION, "kernel": f"csv:{path}"})
+        assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
+
+
+class TestNonFiniteOutput:
+    def test_overflowing_rates_exit_3(self, tmp_path, capsys):
+        # mu_n = 2**n overflows from n = 1024, so the defect is nan
+        code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1030})
+        assert_clean_exit(capsys, code, 3, "numerical failure:")
+        assert not (out / "arrival.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_writers_refuse_non_finite(self, tmp_path, value):
+        writer = _Writer(tmp_path, "birth", 0)
+        with pytest.raises(NonFiniteError):
+            writer.csv("table.csv", ("a", "b"), [(1.0, 2), (value, 3)])
+        with pytest.raises(NonFiniteError):
+            writer.json("report.json", {"a": 1.0, "b": value})
+        grid = KernelGrid.from_profile(lambda x: 1.0, 1.0, 0.5)
+        grid.values[1, 2] = value
+        with pytest.raises(NonFiniteError):
+            grid.to_csv(tmp_path / "kernel.csv")
+        assert not any(tmp_path.iterdir())
+
+    def test_finite_output_bytes_unchanged(self, tmp_path):
+        writer = _Writer(tmp_path, "birth", 5)
+        writer.csv("table.csv", ("a", "b", "c"), [(0.1, 2, True), (1e-300, -0.0, False)])
+        writer.json("report.json", {"b": 1 / 3, "a": [1, 2.5]})
+        header = f"# semigroup-lab v{__version__} subcommand=birth seed=5\n"
+        assert (tmp_path / "table.csv").read_text() == (
+            header + "a,b,c\n0.10000000000000001,2,true\n1e-300,-0,false\n")
+        assert (tmp_path / "report.json").read_text() == (
+            header + '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": 0.3333333333333333\n}\n')
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,14 +13,16 @@ from semigroup_lab import (
     is_positive_semidefinite,
     is_selfadjoint,
     matrix_exponential_apply,
+    matrix_exponential_operator,
     matrix_unit,
     rank_one,
+    superop_blocks,
     superop_matrix,
     trace_norm,
 )
 from semigroup_lab.rates import PolynomialRates
 
-from conftest import random_operator, random_psd, random_vector
+from conftest import block_maps, random_operator, random_psd, random_vector
 
 
 def svd_oracle(a):
@@ -167,6 +170,30 @@ class TestSuperopMatrix:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             superop_matrix(lambda rho: np.zeros((3, 3)), 2)
+
+
+class TestSuperopBlocks:
+    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
+    def test_block_count(self, rng, name):
+        gen, count = block_maps(5, rng)[name]
+        blocks = superop_blocks(superop_matrix(gen, 5))
+        assert len(blocks) == count
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(25))
+
+    def test_birth_blocks_are_offset_diagonals(self, rng):
+        dim = 5
+        gen, _ = block_maps(dim, rng)["birth"]
+        found = {tuple(b) for b in superop_blocks(superop_matrix(gen, dim))}
+        rows, cols = np.divmod(np.arange(dim * dim), dim)
+        bands = {tuple(np.flatnonzero(cols - rows == q)) for q in range(1 - dim, dim)}
+        assert found == bands
+
+    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
+    def test_blockwise_expm_matches_full_matrix(self, rng, name):
+        gen, _ = block_maps(5, rng)[name]
+        ref = scipy.linalg.expm(0.7 * superop_matrix(gen, 5))
+        out = matrix_exponential_operator(gen, 0.7, 5)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 6))

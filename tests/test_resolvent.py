@@ -16,11 +16,12 @@ from semigroup_lab import (
     no_event_resolvent,
     resolvent_direct,
     resolvent_series,
+    superop_matrix,
     trace_norm,
 )
 from semigroup_lab.rates import PolynomialRates
 
-from conftest import random_operator, random_psd
+from conftest import block_maps, random_operator, random_psd
 
 RATES = PolynomialRates(1.0, 2.0)
 
@@ -131,6 +132,33 @@ class TestResolventSeries:
         lhs = series_resolvent(lam, rho) - series_resolvent(nu, rho)
         rhs = (nu - lam) * series_resolvent(lam, series_resolvent(nu, rho))
         assert trace_norm(lhs - rhs) <= 1e-8
+
+
+class TestBlockwiseSolves:
+    # oracle: one dense solve / power of the full superoperator matrix
+    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
+    def test_direct_routes_match_full_solve(self, rng, name):
+        gen, _ = block_maps(5, rng)[name]
+        rho = random_operator(5, rng)
+        full = lambda lam: np.linalg.solve(
+            lam * np.eye(25) - superop_matrix(gen, 5), rho.ravel()).reshape(5, 5)
+        solve = direct_resolvent_factory(gen, 5)
+        for lam in (0.5, 2.0):
+            ref = full(lam)
+            for out in (resolvent_direct(gen, lam, rho), solve(lam, rho)):
+                assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
+    def test_euler_power_matches_full_matrix_power(self, rng, name):
+        dim, n, t = 3, 16, 0.4
+        gen, _ = block_maps(dim, rng)[name]
+        rho = random_operator(dim, rng)
+        resolvent = direct_resolvent_factory(gen, dim)
+        lam = n / t
+        b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
+        ref = (np.linalg.matrix_power(b, n) @ rho.ravel()).reshape(dim, dim)
+        out = euler_semigroup(resolvent, t, n, rho)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEulerFormula:
