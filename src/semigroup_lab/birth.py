@@ -19,6 +19,7 @@ for every other resolvent route in the package.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -28,9 +29,12 @@ import numpy as np
 from .bands import band_solve, from_bands, to_bands
 from .generators import StandardGeneratorSpec
 from .operators import as_operator
-from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence
+from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence, _check_index
 
 EntryAccessor = Union[np.ndarray, Callable[[int, int], complex]]
+
+# factors per block of the arrival product; bounds its temporaries to 512 kB
+_PRODUCT_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     case) and is returned as such without iterating.  Otherwise factors are
     multiplied until either the bound sum_{j>=J} lambda/mu_j on the remaining
     tail certifies a bracket narrower than tail_tol, or the partial product
-    itself drops below tail_tol.  Explicit lists are never extrapolated: the
+    itself drops to tail_tol; RuntimeError when neither happens
+    within max_factors factors.  Explicit lists are never extrapolated: the
     product over the listed range is returned with a flag, and it is an
     error when the list runs out while the tail is not provably negligible.
     """
@@ -239,22 +244,26 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
                               n_factors=count, list_exhausted=True)
     if math.isinf(rates.inverse_tail(n_start)):
         return ArrivalBracket(value=0.0, lower=0.0, upper=0.0, n_factors=0)
+    # the tail bound is non-increasing: bisect for the first certified count
+    first = 1 + bisect.bisect_left(range(1, max_factors + 1), True, key=lambda k:
+                                   lam * rates.inverse_tail(n_start + k) < tail_tol)
+    last = min(first, max_factors)
     product = 1.0
-    j = n_start
-    while j - n_start < max_factors:
-        product /= 1.0 + lam / rates.mu(j)
-        j += 1
-        if product <= tail_tol:
+    for done in range(0, last, _PRODUCT_BLOCK):
+        mu = rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, last - done))
+        partial = np.divide.accumulate(np.concatenate(([product], 1.0 + lam / mu)))[1:]
+        small = np.flatnonzero(partial <= tail_tol)
+        if small.size:
+            product = float(partial[small[0]])
             return ArrivalBracket(value=product, lower=0.0, upper=product,
-                                  n_factors=j - n_start)
-        tail = lam * rates.inverse_tail(j)
-        if tail < tail_tol:
-            # 1/(1+x) >= exp(-x) for x >= 0, so the neglected tail of the
-            # product lies in [exp(-tail), 1]
-            lower = product * math.exp(-tail)
-            return ArrivalBracket(value=product, lower=lower, upper=product,
-                                  n_factors=j - n_start)
-    raise RuntimeError(f"no certified bracket after {max_factors} factors")
+                                  n_factors=done + int(small[0]) + 1)
+        product = float(partial[-1])
+    if first > max_factors:
+        raise RuntimeError(f"no certified bracket after {max_factors} factors")
+    # 1/(1+x) >= exp(-x) for x >= 0, so the neglected tail of the product
+    # lies in [exp(-tail), 1]
+    lower = product * math.exp(-lam * rates.inverse_tail(n_start + last))
+    return ArrivalBracket(value=product, lower=lower, upper=product, n_factors=last)
 
 
 def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> float:
@@ -386,13 +395,13 @@ def geometric_band_decay(rates: RateSequence, q: int, lam: float,
     a = rates.a
     gamma = 2.0 * a ** (q / 2.0) / (1.0 + a ** q)
     entry = _entry_accessor(rho)
-    n_sorted = sorted(int(v) for v in n_values)
+    n_sorted = sorted(_check_index(v) for v in n_values)
     length = n_sorted[-1] + 1 if n_sorted else 0
     source = np.array([entry(j, j + q) for j in range(length)], dtype=complex)
     mu = rates.mu_array(0, length + q)
     resolved = _solve_bands(lam, mu[:length], mu[q:], source)
     envelope = band_solve(np.abs(source), gamma, 1.0)
-    f_values = tuple(float(abs(0.5 * (rates.mu(n) + rates.mu(n + q)) * resolved[n]))
+    f_values = tuple(float(abs(0.5 * (mu[n] + mu[n + q]) * resolved[n]))
                      for n in n_sorted)
     return BandDecayTable(q=q, gamma=gamma, n_values=tuple(n_sorted),
                           f_values=f_values,

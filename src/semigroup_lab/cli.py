@@ -310,7 +310,9 @@ def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
         center, width = _spec_numbers(spec_text, parts[1:])
         if width <= 0:
             raise ConfigError("gauss width must be positive")
-        return np.exp(-0.5 * ((x - center) / width) ** 2)
+        # far from a narrow center the square overflows to inf and psi is 0
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * ((x - center) / width) ** 2)
     if parts[0] == "box" and len(parts) == 3:
         a, b = _spec_numbers(spec_text, parts[1:])
         if not a < b:
@@ -326,6 +328,8 @@ def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
         raise ConfigError("need at least two grid steps")
     x = h * np.arange(round(X / h) + 1)
     psi = _build_profile(config["psi"], x)
+    if not psi.any():
+        raise ConfigError(f"psi {config['psi']!r} is zero at every grid point")
     table = shift_arrival_density(psi, h)
     writer.csv("shift_density.csv", ("t", "density", "cumulative"),
                list(zip(table.times, table.density, table.cumulative)))

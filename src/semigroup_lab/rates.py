@@ -35,17 +35,15 @@ class RateRangeError(IndexError):
 
 
 class RateSequence:
-    """Base for positive rate sequences mu_0, mu_1, ..."""
+    """Base for positive rate sequences mu_0, mu_1, ...: each family writes
+    mu once, in `mu_array(start, count)`; `mu(n)` is its one-element case."""
 
     def mu(self, n: int) -> float:
-        raise NotImplementedError
-
-    def mu_array(self, start: int, count: int) -> np.ndarray:
-        return np.array([self.mu(n) for n in range(start, start + count)])
+        return float(self.mu_array(n, 1)[0])
 
     def inverse_tail(self, start: int) -> float:
-        """Upper bound on sum_{j >= start} 1/mu_j, finite whenever the true
-        sum converges (so inf certifies divergence).
+        """Upper bound on sum_{j >= start} 1/mu_j, non-increasing in start and
+        finite whenever the true sum converges (so inf certifies divergence).
 
         For explicit lists only the listed range is summed; there is no tail
         to bound.
@@ -71,10 +69,6 @@ class PolynomialRates(RateSequence):
         if not (self.c > 0 and self.p > 0):
             raise ValueError("polynomial rates need c > 0 and p > 0")
 
-    def mu(self, n: int) -> float:
-        n = _check_index(n)
-        return self.c * float(n + 1) ** self.p
-
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start)
         return self.c * (np.arange(start, start + count) + 1.0) ** self.p
@@ -99,9 +93,6 @@ class GeometricRates(RateSequence):
         if not self.a > 0:
             raise ValueError("geometric rates need a > 0")
 
-    def mu(self, n: int) -> float:
-        return self.a ** _check_index(n)
-
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start)
         return self.a ** np.arange(start, start + count, dtype=float)
@@ -122,10 +113,6 @@ class ConstantRates(RateSequence):
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("constant rates need c > 0")
-
-    def mu(self, n: int) -> float:
-        _check_index(n)
-        return self.c
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start)
@@ -149,15 +136,8 @@ class ExplicitRates(RateSequence):
         if any(not v > 0 for v in self.values):
             raise ValueError("explicit rates must all be positive")
 
-    def mu(self, n: int) -> float:
-        n = _check_index(n)
-        if n >= len(self.values):
-            raise RateRangeError(
-                f"rate index {n} beyond explicit list of length {len(self.values)}"
-            )
-        return self.values[n]
-
     def mu_array(self, start: int, count: int) -> np.ndarray:
+        _check_index(start)
         if start + count > len(self.values):
             raise RateRangeError(
                 f"rate range [{start}, {start + count}) beyond explicit list "

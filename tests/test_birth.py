@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import semigroup_lab.birth
 from semigroup_lab import (
     am_gm_gap,
     apply_standard,
@@ -39,6 +40,50 @@ from conftest import random_operator, random_psd
 POLY = PolynomialRates(1.0, 2.0)
 LINEAR = PolynomialRates(1.0, 1.0)
 GEO = GeometricRates(2.0)
+
+
+def rates_from(rates, start, chunk=256):
+    """mu_start, mu_{start+1}, ... as Python floats, equal to rates.mu(j)."""
+    while True:
+        yield from rates.mu_array(start, chunk).tolist()
+        start += chunk
+
+
+def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 7):
+    """Reference: the factor-by-factor loop over a convergent rate family,
+    checking the partial product and then the tail bound after each factor;
+    returns (value, lower, upper, n_factors)."""
+    product = 1.0
+    j = n_start
+    mu = rates_from(rates, n_start)
+    while j - n_start < max_factors:
+        product /= 1.0 + lam / next(mu)
+        j += 1
+        if product <= tail_tol:
+            return product, 0.0, product, j - n_start
+        tail = lam * rates.inverse_tail(j)
+        if tail < tail_tol:
+            return product, product * math.exp(-tail), product, j - n_start
+    raise RuntimeError(f"no certified bracket after {max_factors} factors")
+
+
+def blocked_arrival(rates, lam, **kwargs):
+    bracket = arrival_laplace(rates, lam, **kwargs)
+    return bracket.value, bracket.lower, bracket.upper, bracket.n_factors
+
+
+# (rates, lambdas, n_start, tail_tol): the benchmark's configs and both exits,
+# the tail bound (geom:2, poly) and the small partial product (geom:1.01)
+ARRIVAL_GRID = [
+    (GeometricRates(1.01), (0.25, 0.5, 1.0, 2.0), 0, 1e-12),
+    (PolynomialRates(1.0, 3.0), (1.0,), 0, 1e-12),
+    (PolynomialRates(1.0, 3.0), (0.5, 2.0), 5, 1e-9),
+    (PolynomialRates(1.0, 4.0), (1.0,), 0, 1e-12),
+    (PolynomialRates(2.0, 2.0), (1e6,), 0, 1e-3),
+    (GEO, (0.5, 1.0, 2.0), 0, 1e-12),
+    (GEO, (1.0,), 3, 1e-12),
+    (GeometricRates(3.0), (0.01, 100.0), 7, 1e-12),
+]
 
 
 class TestBirthGenerator:
@@ -185,6 +230,48 @@ class TestArrivalProduct:
         with pytest.raises(RateRangeError, match="too short"):
             arrival_laplace(ExplicitRates((1.0, 2.0, 4.0)), 1.0, tail_tol=1e-10)
 
+    @pytest.mark.parametrize("rates, lams, n_start, tail_tol", ARRIVAL_GRID)
+    def test_blocks_match_sequential_loop(self, monkeypatch, rates, lams, n_start,
+                                          tail_tol):
+        # a small prime block size makes every case cross block boundaries
+        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
+        for lam in lams:
+            expected = sequential_arrival(rates, lam, n_start, tail_tol)
+            assert blocked_arrival(rates, lam, n_start=n_start,
+                                   tail_tol=tail_tol) == expected
+            # the factor budget ends exactly at, or one short of, the exit
+            k = expected[-1]
+            assert blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol,
+                                   max_factors=k) == expected
+            with pytest.raises(RuntimeError, match="no certified bracket"):
+                blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol,
+                                max_factors=k - 1)
+
+    def test_grid_reaches_both_exits(self):
+        assert sequential_arrival(GEO, 1.0)[1] > 0.0
+        assert sequential_arrival(GeometricRates(1.01), 1.0)[1] == 0.0
+
+    @pytest.mark.parametrize("rates", [GEO, GeometricRates(1.01)])
+    def test_exit_tests_at_equality(self, monkeypatch, rates):
+        # a partial product equal to tail_tol ends the product; a tail bound
+        # equal to it does not
+        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
+        value, _, _, k = sequential_arrival(rates, 1.0)
+        for tail_tol in (value, rates.inverse_tail(k)):
+            assert blocked_arrival(rates, 1.0, tail_tol=tail_tol) == \
+                sequential_arrival(rates, 1.0, tail_tol=tail_tol)
+
+    def test_uncertified_product_raises(self):
+        rates = PolynomialRates(2.0, 2.5)
+        with pytest.raises(RuntimeError, match="after 1000 factors"):
+            arrival_laplace(rates, 1.0, max_factors=1000)
+        with pytest.raises(RuntimeError, match="after 1000 factors"):
+            sequential_arrival(rates, 1.0, max_factors=1000)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(RateRangeError):
+            arrival_partial_product(ExplicitRates((1.0, 2.0, 4.0)), 1.0, -1, 2)
+
     def test_n_start_shifts_product(self):
         shifted = arrival_laplace(GEO, 1.0, n_start=3)
         direct = np.prod([1.0 / (1.0 + 1.0 / GEO.mu(j)) for j in range(3, 60)])
@@ -330,6 +417,10 @@ class TestGeometricBandDecay:
     def test_requires_geometric_rates(self):
         with pytest.raises(TypeError):
             geometric_band_decay(POLY, 1, 1.0, matrix_unit(0, 0, 2), [10])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(RateRangeError):
+            geometric_band_decay(GEO, 1, 1.0, matrix_unit(0, 0, 2), [-1, 10])
 
     def test_flux_vanishes_on_geometric_domain_elements(self):
         # with exponentially growing rates every resolvent image has

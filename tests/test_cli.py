@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,26 @@ class TestSpecParsing:
         code, _ = run_cli(tmp_path, subcommand, payload)
         assert_clean_exit(capsys, code, 2, "config error:")
 
+    @pytest.mark.parametrize("psi", ["gauss:1.0005:1e-300", "gauss:4.0005:1e-310",
+                                     "box:8.5:9"])
+    def test_psi_zero_on_the_grid_exits_2(self, tmp_path, capsys, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "shift-demo",
+                                {"X": 8.0, "h": 0.001, "psi": psi})
+        assert_clean_exit(capsys, code, 2, "config error: psi")
+        assert not (out / "shift_density.csv").exists()
+
+    def test_narrow_psi_on_a_grid_point_runs_without_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "shift-demo",
+                                {"X": 8.0, "h": 0.001, "psi": "gauss:1:1e-300"})
+        assert code == 0
+        rows = (out / "shift_density.csv").read_text().splitlines()[2:]
+        assert [row for row in rows if row.split(",")[1] != "0"] == \
+            ["1,1,0.00050000000000000044"]
+
     def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "kernel.csv"
         path.write_text("4,0.05\n1,x\n")
@@ -283,11 +304,31 @@ class TestSpecParsing:
 
 
 class TestNonFiniteOutput:
+    # numpy still warns about the overflowing rates before the failure line
+    # reaches stderr; once rate overflow is refused up front these runs
+    # should pass under warnings-as-errors
     def test_overflowing_rates_exit_3(self, tmp_path, capsys):
         # mu_n = 2**n overflows from n = 1024, so the defect is nan
-        code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1030})
+        with pytest.warns(RuntimeWarning):
+            code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1030})
         assert_clean_exit(capsys, code, 3, "numerical failure:")
         assert not (out / "arrival.csv").exists()
+
+    def test_overflowing_arrival_factors_exit_3(self, tmp_path, capsys):
+        # the arrival product starts past the overflow, at mu_1030 = inf
+        with pytest.warns(RuntimeWarning):
+            code, out = run_cli(tmp_path, "birth",
+                                {**BIRTH, "N": 1100, "n_start": 1030})
+        assert_clean_exit(capsys, code, 3, "numerical failure: refusing")
+        assert not (out / "arrival.csv").exists()
+
+    def test_uncertified_arrival_product_writes_nothing(self, tmp_path):
+        # the give-up escapes cli.run, as the benchmark's own tests expect
+        # of poly:1:2.5; it is bounded by max_factors and writes no file
+        with pytest.raises(RuntimeError, match="no certified bracket after"):
+            run_cli(tmp_path, "birth", {"rates": "poly:2:2.5", "lambda": [0.1, 1, 5],
+                                        "N": 50, "n_start": 3})
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_writers_refuse_non_finite(self, tmp_path, value):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,14 +42,22 @@ class TestFamilies:
             r.mu_array(1, 3)
 
     def test_mu_array_matches_scalar(self):
-        for r in (PolynomialRates(2.0, 1.5), GeometricRates(1.3),
-                  ConstantRates(0.7), ExplicitRates((1.0, 2.0, 3.0))):
-            arr = r.mu_array(0, 3)
-            assert list(arr) == pytest.approx([r.mu(n) for n in range(3)])
+        # one mu expression per family: the scalar is the array entry bit for
+        # bit, and overflows to inf like it (geom:2 from n = 1024)
+        for r, count in ((PolynomialRates(2.0, 1.5), 3),
+                         (PolynomialRates(1.0, 3.0), 800_000),
+                         (GeometricRates(1.3), 3), (GeometricRates(1.01), 2_000),
+                         (GeometricRates(2.0), 1_101), (ConstantRates(0.7), 3),
+                         (ExplicitRates((1.0, 2.0, 3.0)), 3)):
+            with np.errstate(over="ignore"):
+                arr = r.mu_array(0, count)
+                assert [r.mu(n) for n in range(count)] == arr.tolist(), r
 
     def test_negative_index_rejected(self):
         with pytest.raises(RateRangeError):
             PolynomialRates(1.0, 1.0).mu(-1)
+        with pytest.raises(RateRangeError):
+            ExplicitRates((1.0, 2.0, 4.0)).mu_array(-1, 2)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
