@@ -61,21 +61,21 @@ _LAMBDAS = ("finite number or list of finite numbers",
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-_AT_LEAST_2 = ("at least 2", lambda v: v >= 2)
+_DIMENSION = ("at least 2 and below 2**31", lambda v: 2 <= v < 2 ** 31)
 
 SCHEMAS = {
     "birth": {"rates": (_STR, True, None), "lambda": (_LAMBDAS, True, _POSITIVE),
-              "N": (_INT, True, _AT_LEAST_2), "n_start": (_INT, False, None),
+              "N": (_INT, True, _DIMENSION), "n_start": (_INT, False, None),
               "tail_tol": (_NUMBER, False, _POSITIVE)},
     "minimal": {"rates": (_STR, True, None), "lambda": (_NUMBER, True, _POSITIVE),
-                "N": (_INT, True, _AT_LEAST_2), "tol": (_NUMBER, True, _POSITIVE)},
+                "N": (_INT, True, _DIMENSION), "tol": (_NUMBER, True, _POSITIVE)},
     "trajectory": {"rates": (_STR, True, None),
                    "lambda": (_LAMBDAS, True, _NONNEGATIVE),
                    "samples": (_INT, True, _AT_LEAST_1),
                    "horizon": (_NUMBER, True, _POSITIVE),
                    "max_jumps": (_INT, True, _AT_LEAST_1),
                    "n_start": (_INT, False, _NONNEGATIVE)},
-    "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _AT_LEAST_2),
+    "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _DIMENSION),
                     "lambda": (_NUMBER, True, _POSITIVE),
                     "t": (_NUMBER, True, _NONNEGATIVE)},
     "diffusion": {"X": (_NUMBER, True, _POSITIVE), "h": (_NUMBER, True, _POSITIVE),
@@ -263,6 +263,13 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
+def _grid_steps(X: float, h: float) -> int:
+    """round(X / h), refused before rounding unless the ratio is below 2**31."""
+    if not X / h < 2 ** 31:  # also an overflow to inf
+        raise ConfigError(f"X / h = {X / h:g} must be below 2**31")
+    return round(X / h)
+
+
 def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
     parts = spec_text.split(":")
     if parts[0] == "bump" and len(parts) == 3:
@@ -289,6 +296,7 @@ def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
 def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
     t, lam = float(config["t"]), float(config["lambda"])
+    _grid_steps(X, h)
     kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h)
     evolved = apply_semigroup(kernel, t)
     resolved = apply_resolvent(kernel, lam)
@@ -324,9 +332,10 @@ def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
 
 def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
-    if round(X / h) < 2:
+    steps = _grid_steps(X, h)
+    if steps < 2:
         raise ConfigError("need at least two grid steps")
-    x = h * np.arange(round(X / h) + 1)
+    x = h * np.arange(steps + 1)
     psi = _build_profile(config["psi"], x)
     if not psi.any():
         raise ConfigError(f"psi {config['psi']!r} is zero at every grid point")

@@ -57,7 +57,7 @@ class KernelGrid:
             raise ValueError(
                 f"values shape {values.shape} does not match grid ({m + 1}, {m + 1})"
             )
-        if not np.all(np.isfinite(values.view(float))):
+        if not np.isfinite(values).all():
             raise NonFiniteError("kernel values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -89,23 +89,24 @@ class KernelGrid:
         return cls(X=X, h=h, values=np.outer(p, p.conj()))
 
     def to_csv(self, path, header: str = None) -> None:
-        """First row is grid metadata (X, h); complex entries use the python
-        literal form 'a+bj'.  An optional '#' comment line may precede the
-        metadata.  Non-finite values raise NonFiniteError before the file is
-        opened."""
+        """First row is grid metadata (X, h); real entries use %.17g, and a
+        grid with any nonzero imaginary part writes every entry as the python
+        repr 'a+bj' without parentheses.  An optional '#' comment line may
+        precede the metadata.  Non-finite values raise NonFiniteError before
+        the file is opened."""
         if not np.isfinite(self.values).all():
             raise NonFiniteError("refusing to write non-finite kernel values")
+        if np.iscomplexobj(self.values) and np.any(self.values.imag):
+            rows = (",".join(repr(v).strip("()") for v in row.tolist()) + "\n"
+                    for row in self.values)
+        else:
+            fmt = ",".join(["%.17g"] * self.npoints) + "\n"
+            rows = (fmt % tuple(row.tolist()) for row in self.values.real)
         with open(path, "w", newline="") as fh:
             if header is not None:
                 fh.write(header.rstrip("\n") + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"{self.X:.17g}", f"{self.h:.17g}"])
-            complex_valued = np.iscomplexobj(self.values) and np.any(self.values.imag)
-            for row in self.values:
-                if complex_valued:
-                    writer.writerow([repr(complex(v)).strip("()") for v in row])
-                else:
-                    writer.writerow([f"{float(np.real(v)):.17g}" for v in row])
+            fh.write(f"{self.X:.17g},{self.h:.17g}\n")
+            fh.writelines(rows)
 
     @classmethod
     def from_csv(cls, path) -> "KernelGrid":

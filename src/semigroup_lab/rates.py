@@ -51,10 +51,13 @@ class RateSequence:
         raise NotImplementedError
 
 
-def _check_index(n: int) -> int:
+def _check_index(n: int, count: int = 0) -> int:
+    """Start index n of a run of `count` rates; both must be nonnegative."""
     n = int(n)
     if n < 0:
         raise RateRangeError(f"rate index must be nonnegative, got {n}")
+    if count < 0:
+        raise RateRangeError(f"rate count must be nonnegative, got {count}")
     return n
 
 
@@ -70,7 +73,7 @@ class PolynomialRates(RateSequence):
             raise ValueError("polynomial rates need c > 0 and p > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
-        _check_index(start)
+        _check_index(start, count)
         return self.c * (np.arange(start, start + count) + 1.0) ** self.p
 
     def inverse_tail(self, start: int) -> float:
@@ -94,7 +97,7 @@ class GeometricRates(RateSequence):
             raise ValueError("geometric rates need a > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
-        _check_index(start)
+        _check_index(start, count)
         return self.a ** np.arange(start, start + count, dtype=float)
 
     def inverse_tail(self, start: int) -> float:
@@ -115,7 +118,7 @@ class ConstantRates(RateSequence):
             raise ValueError("constant rates need c > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
-        _check_index(start)
+        _check_index(start, count)
         return np.full(count, self.c)
 
     def inverse_tail(self, start: int) -> float:
@@ -137,7 +140,7 @@ class ExplicitRates(RateSequence):
             raise ValueError("explicit rates must all be positive")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
-        _check_index(start)
+        _check_index(start, count)
         if start + count > len(self.values):
             raise RateRangeError(
                 f"rate range [{start}, {start + count}) beyond explicit list "

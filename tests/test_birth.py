@@ -272,6 +272,13 @@ class TestArrivalProduct:
         with pytest.raises(RateRangeError):
             arrival_partial_product(ExplicitRates((1.0, 2.0, 4.0)), 1.0, -1, 2)
 
+    @pytest.mark.parametrize("rates", [PolynomialRates(1.0, 2.0), GeometricRates(2.0),
+                                       ConstantRates(0.7), ExplicitRates((1.0, 2.0, 4.0))])
+    def test_negative_count_rejected(self, rates):
+        with pytest.raises(RateRangeError, match="count"):
+            arrival_partial_product(rates, 1.0, 0, -3)
+        assert arrival_partial_product(rates, 1.0, 0, 0) == 1.0
+
     def test_n_start_shifts_product(self):
         shifted = arrival_laplace(GEO, 1.0, n_start=3)
         direct = np.prod([1.0 / (1.0 + 1.0 / GEO.mu(j)) for j in range(3, 60)])

@@ -250,6 +250,20 @@ class TestConfigRanges:
         code = run(["birth", "--config", str(path), "--out", str(tmp_path / "out")])
         assert_clean_exit(capsys, code, 2, "config error: config key 'lambda'")
 
+    @pytest.mark.parametrize("subcommand, base, change, message", [
+        ("birth", BIRTH, {"N": 10 ** 400}, "N must be"),
+        ("minimal", MINIMAL, {"N": 2 ** 31}, "N must be"),
+        ("nonstandard", NONSTANDARD, {"N": 2 ** 31}, "N must be"),
+        ("shift-demo", SHIFT, {"X": 1e300, "h": 1e-300}, "X / h = inf must be"),
+        ("shift-demo", SHIFT, {"X": 2.0 ** 31, "h": 1}, "X / h = 2.14748e+09 must be"),
+        ("diffusion", DIFFUSION, {"X": 1e300, "h": 1e-300}, "X / h = inf must be"),
+    ])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, subcommand, base, change,
+                                    message):
+        code, out = run_cli(tmp_path, subcommand, {**base, **change})
+        assert_clean_exit(capsys, code, 2, f"config error: {message}")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_nonstandard_zero_time_is_allowed(self, tmp_path):
         code, out = run_cli(tmp_path, "nonstandard", {**NONSTANDARD, "t": 0})
         assert code == 0

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from semigroup_lab import (
     KernelGrid,
+    NonFiniteError,
     QuadratureError,
     apply_resolvent,
     apply_semigroup,
@@ -60,6 +62,14 @@ class TestKernelGrid:
         with pytest.raises(ValueError):
             KernelGrid(X=1.0, h=0.5, values=np.zeros((4, 4)))
 
+    def test_non_contiguous_complex_values(self):
+        values = (np.arange(16.0) + 1j).reshape(4, 4)[:, ::-1]
+        assert not values.flags.c_contiguous
+        assert KernelGrid(X=1.5, h=0.5, values=values).values[0, 0] == 3 + 1j
+        values[1, 2] = complex(0.0, np.inf)
+        with pytest.raises(NonFiniteError):
+            KernelGrid(X=1.5, h=0.5, values=values)
+
     def test_csv_round_trip_real(self, tmp_path):
         kernel = bump_kernel(X=2.0, h=0.1)
         path = tmp_path / "kernel.csv"
@@ -82,6 +92,87 @@ class TestKernelGrid:
         grid = KernelGrid(X=1.0, h=0.1, values=values)
         assert support_extent(grid) == pytest.approx(0.5)
         assert support_extent(KernelGrid(X=1.0, h=0.1, values=np.zeros((11, 11)))) == 0.0
+
+
+def csv_fields(path):
+    return path.read_text().replace("\n", ",").split(",")
+
+
+def per_element_csv(grid, path, header=None):
+    """The kernel writer as it was before rows were formatted whole: one
+    format call per element, rows through csv.writer.  Oracle for to_csv."""
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(header.rstrip("\n") + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"{grid.X:.17g}", f"{grid.h:.17g}"])
+        complex_valued = np.iscomplexobj(grid.values) and np.any(grid.values.imag)
+        for row in grid.values:
+            if complex_valued:
+                writer.writerow([repr(complex(v)).strip("()") for v in row])
+            else:
+                writer.writerow([f"{float(np.real(v)):.17g}" for v in row])
+
+
+EDGE_REALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -2 / 3,
+              1e16, 123456789012345680.0, 1e-5, 1.0, -1.0, 2.5]
+
+
+def _edge_grid(entries, X=1.5, h=0.5):
+    rng = np.random.default_rng(7)
+    values = np.resize(np.asarray(entries), (4, 4))
+    return KernelGrid(X=X, h=h, values=values[:, rng.permutation(4)])
+
+
+def _random_grid(dtype):
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-300, 300, (41, 41))
+    values = rng.standard_normal((41, 41)) * scale
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal((41, 41)) * scale[::-1]
+    return KernelGrid(X=4.0, h=0.1, values=values)
+
+
+WRITER_GRIDS = {
+    "real edge values": lambda: _edge_grid(EDGE_REALS),
+    "complex signed zeros": lambda: _edge_grid(
+        [1j, complex(0.0, -1.0), complex(-0.0, -1.0), complex(0.0, -0.0),
+         complex(-0.0, 0.0), complex(-0.0, -0.0), complex(1 / 3, 0.1), complex(5e-324, -5e-324),
+         complex(1.7976931348623157e308, 2.2250738585072014e-308), -2.5 + 0j,
+         1e300j, complex(0.1, -0.0), 0j, 2.5 - 1e-5j, complex(-1.0, 1e16), 3j]),
+    "complex dtype, zero imaginary": lambda: _edge_grid(
+        [complex(v, -0.0 if i % 2 else 0.0) for i, v in enumerate(EDGE_REALS)]),
+    "integer metadata": lambda: KernelGrid(X=3, h=1, values=np.eye(4)),
+    "random real": lambda: _random_grid(float),
+    "random complex": lambda: _random_grid(complex),
+}
+
+
+class TestKernelWriter:
+    @pytest.mark.parametrize("header", [None, "# semigroup-lab header",
+                                        "# trailing newline\n"])
+    @pytest.mark.parametrize("name", WRITER_GRIDS)
+    def test_bytes_match_per_element_writer(self, tmp_path, name, header):
+        grid = WRITER_GRIDS[name]()
+        grid.to_csv(tmp_path / "rows.csv", header=header)
+        per_element_csv(grid, tmp_path / "oracle.csv", header=header)
+        assert (tmp_path / "rows.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
+
+    def test_zero_imaginary_parts_take_the_real_path(self, tmp_path):
+        grid = WRITER_GRIDS["complex dtype, zero imaginary"]()
+        assert np.iscomplexobj(grid.values)
+        grid.to_csv(tmp_path / "kernel.csv")
+        fields = csv_fields(tmp_path / "kernel.csv")
+        assert "-0" in fields and not any("j" in f for f in fields)
+
+    def test_complex_entries_use_repr_without_parentheses(self, tmp_path):
+        grid = WRITER_GRIDS["complex signed zeros"]()
+        grid.to_csv(tmp_path / "kernel.csv")
+        fields = csv_fields(tmp_path / "kernel.csv")
+        assert {"1j", "-1j", "-0-1j", "-0j", "-0+0j", "-0-0j"} <= set(fields)
+        assert not any("(" in f or ")" in f for f in fields)
 
 
 class TestSemigroup:

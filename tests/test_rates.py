@@ -59,6 +59,13 @@ class TestFamilies:
         with pytest.raises(RateRangeError):
             ExplicitRates((1.0, 2.0, 4.0)).mu_array(-1, 2)
 
+    @pytest.mark.parametrize("rates", [PolynomialRates(1.0, 2.0), GeometricRates(2.0),
+                                       ConstantRates(0.7), ExplicitRates((1.0, 2.0, 4.0))])
+    def test_negative_count_rejected(self, rates):
+        with pytest.raises(RateRangeError, match="count"):
+            rates.mu_array(0, -3)
+        assert rates.mu_array(1, 0).size == 0
+
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             PolynomialRates(0.0, 1.0)
