@@ -250,7 +250,8 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     last = min(first, max_factors)
     product = 1.0
     for done in range(0, last, _PRODUCT_BLOCK):
-        mu = rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, last - done))
+        with np.errstate(over="ignore"):  # a rate that overflows is a factor of 1
+            mu = rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, last - done))
         partial = np.divide.accumulate(np.concatenate(([product], 1.0 + lam / mu)))[1:]
         small = np.flatnonzero(partial <= tail_tol)
         if small.size:

@@ -5,9 +5,10 @@ Every output file starts with the comment line
 
     # semigroup-lab v<version> subcommand=<name> seed=<seed>
 
-(JSON consumers should skip leading '#' lines).  Floats are written with 17
-significant digits so identical configs and seeds produce byte-identical
-files.
+(JSON consumers should skip leading '#' lines).  CSV floats are written
+with 17 significant digits, JSON floats in Python's shortest round-trip
+form, so identical configs and seeds produce byte-identical files.
+Subcommands run with numpy's overflow and invalid operations raised (exit 3).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .trajectories import BiasCheckError, TrajectoryStreams, \
     empirical_laplace, sample_trajectories, shift_arrival_density
 
 _NUMERICAL_FAILURES = (SeriesDivergenceError, BiasCheckError, QuadratureError,
-                       RateRangeError, MatrixExponentialError, NonFiniteError)
+                       RateRangeError, MatrixExponentialError, NonFiniteError,
+                       FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -184,6 +186,7 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     tail_tol = config.get("tail_tol", 1e-12)
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
+    rates.finite_mu_array(0, dim)
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
@@ -222,6 +225,8 @@ def _run_minimal(config: dict, writer: _Writer, seed: int) -> None:
 def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     n_start = config.get("n_start", 0)
+    if config["samples"] * config["max_jumps"] > 10 ** 8:  # 0.8 GB of jump times
+        raise ConfigError("samples * max_jumps must be at most 10**8")
     streams = TrajectoryStreams(master_seed=seed)
     samples = sample_trajectories(rates, n_start, float(config["horizon"]),
                                   config["max_jumps"], streams,
@@ -384,7 +389,8 @@ def run(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         writer = _Writer(out_dir, args.subcommand, args.seed)
-        _RUNNERS[args.subcommand](config, writer, args.seed)
+        with np.errstate(over="raise", invalid="raise"):
+            _RUNNERS[args.subcommand](config, writer, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -69,9 +69,6 @@ class KernelGrid:
     def x(self) -> np.ndarray:
         return self.h * np.arange(self.npoints)
 
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.values).copy()
-
     @classmethod
     def from_function(cls, f: Callable[[float, float], complex], X: float,
                       h: float) -> "KernelGrid":
@@ -157,8 +154,7 @@ def _apply_image_kernel(kernel: KernelGrid, profile: np.ndarray) -> KernelGrid:
                       values=from_bands(weighted @ low, weighted @ up))
 
 
-def apply_semigroup(kernel: KernelGrid, t: float,
-                    support_rtol: float = 1e-12) -> KernelGrid:
+def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
     """Evolve the kernel for time t by the reflected-Gaussian quadrature.
 
     Raises QuadratureError when the grid cannot certify the result: the
@@ -172,7 +168,7 @@ def apply_semigroup(kernel: KernelGrid, t: float,
             f"heat kernel width {math.sqrt(4 * t):.3e} unresolved by spacing "
             f"h = {kernel.h:.3e}; refine the grid or increase t"
         )
-    extent = support_extent(kernel, rtol=support_rtol)
+    extent = support_extent(kernel)
     needed = extent + 8.0 * math.sqrt(t)
     if kernel.X + 0.5 * kernel.h < needed:
         raise QuadratureError(

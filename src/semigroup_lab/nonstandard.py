@@ -22,6 +22,7 @@ from .birth import band_domain_element, birth_generator, birth_resolvent, \
 from .operators import as_operator, is_positive_semidefinite, \
     matrix_exponential_apply, matrix_unit, rank_one, trace_norm
 from .rates import RateSequence
+from .resolvent import resolvent_series
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,6 @@ def birth_reset_resolvent_series(rates: RateSequence, dim: int, lam: float,
                                  tol: float = 1e-10):
     """Resolvent series of the reset generator, built on the closed-form
     birth resolvent as the unperturbed part."""
-    from .resolvent import resolvent_series
-
     spec = birth_generator(rates, dim)
     state = as_operator(reset_state)
 

@@ -141,15 +141,13 @@ def matrix_exponential_apply(
     gen: Callable[[np.ndarray], np.ndarray],
     t: float,
     rho: np.ndarray,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Reference exp(t*gen) applied to rho.
 
     Uses Pade scaling-and-squaring on each block of the superoperator
     matrix (see superop_blocks); the squaring count grows only
     logarithmically with the generator norm, so stiff generators stay
-    affordable.  Backward error sits well below `tol`
-    in double precision for the sizes this package targets.
+    affordable.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import NonFiniteError
+
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
 
@@ -40,6 +42,16 @@ class RateSequence:
 
     def mu(self, n: int) -> float:
         return float(self.mu_array(n, 1)[0])
+
+    def finite_mu_array(self, start: int, count: int) -> np.ndarray:
+        """mu_array(start, count), refused with NonFiniteError at the first
+        rate that is not finite, such as a**n beyond the float range."""
+        with np.errstate(over="ignore"):
+            mu = self.mu_array(start, count)
+        if not np.isfinite(mu).all():
+            n = int(np.flatnonzero(~np.isfinite(mu))[0])
+            raise NonFiniteError(f"refusing the non-finite rate mu_{start + n} = {mu[n]}")
+        return mu
 
     def inverse_tail(self, start: int) -> float:
         """Upper bound on sum_{j >= start} 1/mu_j, non-increasing in start and

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .operators import as_operator, blockwise, is_positive_semidefinite, \
     is_selfadjoint, superop_blocks, superop_matrix, trace_norm
@@ -41,35 +40,25 @@ def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
                      rho: np.ndarray) -> np.ndarray:
     """Solve (lambda - gen) X = rho by a dense linear solve per block of the
     superoperator matrix."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     rho = as_operator(rho)
-    dim = rho.shape[0]
-    m = superop_matrix(gen, dim)
-    rhs = rho.ravel()
-    x = np.empty_like(rhs)
-    for b in superop_blocks(m):
-        x[b] = np.linalg.solve(lam * np.eye(b.size) - m[np.ix_(b, b)], rhs[b])
-    return x.reshape(dim, dim)
+    return direct_resolvent_factory(gen, rho.shape[0])(lam, rho)
 
 
 def direct_resolvent_factory(gen: Callable[[np.ndarray], np.ndarray], dim: int
                              ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Reusable (lam, rho) -> resolvent solver, one LU factorization per block
-    of the superoperator matrix, made once per lambda."""
+    """Reusable (lam, rho) -> resolvent solver: the superoperator matrix is
+    assembled and split into its blocks once, then each call makes one dense
+    solve per block."""
     m = superop_matrix(gen, dim)
     blocks = [(b, m[np.ix_(b, b)]) for b in superop_blocks(m)]
-    cache: dict = {}
 
     def solve(lam: float, rho: np.ndarray) -> np.ndarray:
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        if lam not in cache:
-            cache[lam] = [lu_factor(lam * np.eye(b.size) - mb) for b, mb in blocks]
         rhs = as_operator(rho).ravel()
         x = np.empty_like(rhs)
-        for (b, _), lu in zip(blocks, cache[lam]):
-            x[b] = lu_solve(lu, rhs[b])
+        for b, mb in blocks:
+            x[b] = np.linalg.solve(lam * np.eye(b.size) - mb, rhs[b])
         return x.reshape(dim, dim)
 
     return solve

@@ -9,6 +9,7 @@ matter in which order or on how many workers they are drawn.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,40 +58,37 @@ class ShiftArrivalTable:
 
 
 def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
-                      max_jumps: int = 10_000,
-                      rng: Optional[np.random.Generator] = None
+                      max_jumps: int, rng: np.random.Generator
                       ) -> TrajectorySample:
     """Draw one trajectory: exponential holding times -ln(U)/mu_n, U in (0,1].
 
     Stops at the horizon or after max_jumps jumps; the explosion flag is set
-    when the max_jumps-th jump still falls inside the horizon.
+    when the max_jumps-th jump still falls inside the horizon.  A rate that
+    is not finite would give holding times of 0 up to the jump cap; it is
+    refused with NonFiniteError naming its level.
     """
-    if rng is None:
-        raise ValueError("an explicit random stream is required for reproducibility")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if max_jumps < 1:
         raise ValueError("max_jumps must be at least 1")
-    times = []
+    parts = []
     level = int(n_start)
     t = 0.0
-    while len(times) < max_jumps:
-        chunk = min(_CHUNK, max_jumps - len(times))
-        mu = rates.mu_array(level, chunk)
+    while level - n_start < max_jumps:
+        chunk = min(_CHUNK, max_jumps - (level - n_start))
+        mu = rates.finite_mu_array(level, chunk)
         u = 1.0 - rng.random(chunk)             # uniform in (0, 1]
-        holds = -np.log(u) / mu
-        cum = t + np.cumsum(holds)
-        inside = cum <= horizon
-        n_in = int(inside.sum())
-        times.extend(cum[:n_in].tolist())
+        cum = t + np.cumsum(-np.log(u) / mu)    # non-decreasing
+        n_in = int(np.searchsorted(cum, horizon, side="right"))
+        parts.append(cum[:n_in])
         level += n_in
         if n_in < chunk:
-            return TrajectorySample(jump_times=np.array(times),
+            return TrajectorySample(jump_times=np.concatenate(parts),
                                     final_level=level,
                                     exploded_within_horizon=False,
                                     horizon=horizon)
         t = cum[-1]
-    return TrajectorySample(jump_times=np.array(times), final_level=level,
+    return TrajectorySample(jump_times=np.concatenate(parts), final_level=level,
                             exploded_within_horizon=True, horizon=horizon)
 
 
@@ -102,6 +100,14 @@ def sample_trajectories(rates: RateSequence, n_start: int, horizon: float,
         sample_trajectory(rates, n_start, horizon, max_jumps, streams.stream(i))
         for i in range(count)
     ]
+
+
+def _mean_se(values: np.ndarray):
+    """Sample mean and its standard error (0 for a single sample)."""
+    if not values.size:
+        raise ValueError("no samples")
+    se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), float(se)
 
 
 def empirical_laplace(samples: Sequence[TrajectorySample], lam: float,
@@ -118,22 +124,14 @@ def empirical_laplace(samples: Sequence[TrajectorySample], lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if not samples:
-        raise ValueError("no samples")
-    values = np.empty(len(samples))
-    bias = 0.0
-    for i, s in enumerate(samples):
-        if s.exploded_within_horizon:
-            t = s.jump_times[-1]
-            values[i] = math.exp(-lam * t)
-            # unobserved tail of the explosion time shifts exp(-lam T) by
-            # at most lam * E[tail]
-            bias += lam * rates.inverse_tail(s.final_level)
-        else:
-            values[i] = math.exp(-lam * s.horizon)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    bias /= len(samples)
+    ends = np.array([s.jump_times[-1] if s.exploded_within_horizon else s.horizon
+                     for s in samples])
+    mean, se = _mean_se(np.exp(-lam * ends))
+    # the unobserved tail of each truncated explosion time shifts
+    # exp(-lam T) by at most lam * inverse_tail(final level)
+    levels = Counter(s.final_level for s in samples if s.exploded_within_horizon)
+    bias = lam * sum(n * rates.inverse_tail(level)
+                     for level, n in levels.items()) / len(samples)
     if lam > 0 and bias > max(se, 1e-15):
         raise BiasCheckError(
             f"truncation bias bound {bias:.3e} exceeds standard error {se:.3e}; "
@@ -166,15 +164,14 @@ def event_count_estimator(samples: Sequence[TrajectorySample], lam: float,
     times capped at the horizon.  Returns (mean, standard_error)."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    values = np.empty(len(samples))
-    for i, s in enumerate(samples):
-        t_k = s.jump_times[k - 1] if k >= 1 and len(s.jump_times) >= k else (
-            0.0 if k == 0 else s.horizon)
-        t_next = s.jump_times[k] if len(s.jump_times) >= k + 1 else s.horizon
-        values[i] = (math.exp(-lam * t_k) - math.exp(-lam * t_next)) / lam
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, se
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+
+    def capped(s: TrajectorySample, j: int) -> float:  # T_j
+        return s.horizon if j > len(s.jump_times) else s.jump_times[j - 1] if j else 0.0
+
+    t = np.array([(capped(s, k), capped(s, k + 1)) for s in samples]).reshape(-1, 2)
+    return _mean_se((np.exp(-lam * t[:, 0]) - np.exp(-lam * t[:, 1])) / lam)
 
 
 def shift_arrival_density(psi: Sequence[complex], h: float,

@@ -87,6 +87,13 @@ class TestTrajectorySubcommand:
         _, out2 = run_cli(tmp_path, "trajectory", payload, seed=2)
         assert (out2 / "trajectory.csv").read_text() != first
 
+    def test_jump_bound_is_inclusive(self, tmp_path):
+        code, out = run_cli(tmp_path, "trajectory",
+                            {"rates": "const:1", "lambda": 1.0, "samples": 1,
+                             "horizon": 0.001, "max_jumps": 10 ** 8})
+        assert code == 0
+        assert (out / "trajectory.csv").is_file()
+
     def test_bias_failure_exits_3(self, tmp_path):
         code, _ = run_cli(tmp_path, "trajectory",
                           {"rates": "geom:2", "lambda": 1.0, "samples": 200,
@@ -257,6 +264,10 @@ class TestConfigRanges:
         ("shift-demo", SHIFT, {"X": 1e300, "h": 1e-300}, "X / h = inf must be"),
         ("shift-demo", SHIFT, {"X": 2.0 ** 31, "h": 1}, "X / h = 2.14748e+09 must be"),
         ("diffusion", DIFFUSION, {"X": 1e300, "h": 1e-300}, "X / h = inf must be"),
+        ("trajectory", TRAJECTORY, {"samples": 10 ** 5, "max_jumps": 1001},
+         "samples * max_jumps must be at most 10**8"),
+        ("trajectory", TRAJECTORY, {"samples": 10 ** 9, "max_jumps": 10 ** 9},
+         "samples * max_jumps must be at most 10**8"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, subcommand, base, change,
                                     message):
@@ -318,23 +329,54 @@ class TestSpecParsing:
 
 
 class TestNonFiniteOutput:
-    # numpy still warns about the overflowing rates before the failure line
-    # reaches stderr; once rate overflow is refused up front these runs
-    # should pass under warnings-as-errors
+    # rate overflow is refused by name before numpy can warn about it, so
+    # these runs pass under warnings-as-errors
     def test_overflowing_rates_exit_3(self, tmp_path, capsys):
-        # mu_n = 2**n overflows from n = 1024, so the defect is nan
-        with pytest.warns(RuntimeWarning):
+        # mu_n = 2**n overflows from n = 1024, so the defect would be nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1030})
         assert_clean_exit(capsys, code, 3, "numerical failure:")
         assert not (out / "arrival.csv").exists()
 
     def test_overflowing_arrival_factors_exit_3(self, tmp_path, capsys):
         # the arrival product starts past the overflow, at mu_1030 = inf
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "birth",
                                 {**BIRTH, "N": 1100, "n_start": 1030})
         assert_clean_exit(capsys, code, 3, "numerical failure: refusing")
         assert not (out / "arrival.csv").exists()
+
+    @pytest.mark.parametrize("n_start, level", [(1030, 1030), (1000, 1024)])
+    def test_overflowing_trajectory_rates_exit_3(self, tmp_path, capsys, n_start, level):
+        # every holding time past the overflow would be 0, up to the jump cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "trajectory",
+                                {**TRAJECTORY, "n_start": n_start, "max_jumps": 100_000,
+                                 "horizon": 50.0})
+        assert_clean_exit(capsys, code, 3,
+                          f"numerical failure: refusing the non-finite rate mu_{level} ")
+        assert not (out / "trajectory.csv").exists()
+
+    def test_overflow_past_the_rate_check_exits_3(self, tmp_path, capsys):
+        # every rate up to mu_1023 is finite, but mu_1023 + mu_1023 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1024})
+        assert_clean_exit(capsys, code, 3, "numerical failure: overflow encountered")
+        assert not (out / "arrival.csv").exists()
+
+    def test_arrival_product_past_the_overflow_runs(self, tmp_path):
+        # the tail search for lambda = 1e300 reaches mu_1024 = inf, whose
+        # factor 1 / (1 + lambda / mu) is exactly 1; the first factor decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "birth", {**BIRTH, "lambda": 1e300})
+        assert code == 0
+        row = (out / "arrival.csv").read_text().splitlines()[2].split(",")
+        assert float(row[1]) == 1 / (1 + 1e300)
 
     def test_uncertified_arrival_product_writes_nothing(self, tmp_path):
         # the give-up escapes cli.run, as the benchmark's own tests expect

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semigroup_lab import NonFiniteError
 from semigroup_lab.rates import (
     ConstantRates,
     ExplicitRates,
@@ -52,6 +54,19 @@ class TestFamilies:
             with np.errstate(over="ignore"):
                 arr = r.mu_array(0, count)
                 assert [r.mu(n) for n in range(count)] == arr.tolist(), r
+
+    @pytest.mark.parametrize("rates, start, count, level", [
+        (GeometricRates(2.0), 1000, 64, 1024), (GeometricRates(2.0), 1030, 64, 1030),
+        (PolynomialRates(1.0, 400.0), 0, 64, 5),
+        (ExplicitRates((1.0, math.inf, 2.0, math.inf)), 0, 4, 1)])
+    def test_finite_mu_array_refuses_the_first_non_finite_rate(self, rates, start, count,
+                                                                level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"rate mu_{level} = inf$"):
+                rates.finite_mu_array(start, count)
+            finite = rates.finite_mu_array(start, level - start)
+        assert np.array_equal(finite, rates.mu_array(start, level - start))
 
     def test_negative_index_rejected(self):
         with pytest.raises(RateRangeError):

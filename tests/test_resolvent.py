@@ -149,6 +149,14 @@ class TestBlockwiseSolves:
                 assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
+    def test_one_shot_solve_is_the_factory_solve(self, rng, name):
+        gen, _ = block_maps(5, rng)[name]
+        rho = random_operator(5, rng)
+        solve = direct_resolvent_factory(gen, 5)
+        for lam in (0.5, 2.0):
+            assert np.array_equal(resolvent_direct(gen, lam, rho), solve(lam, rho))
+
+    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
     def test_euler_power_matches_full_matrix_power(self, rng, name):
         dim, n, t = 3, 16, 0.4
         gen, _ = block_maps(dim, rng)[name]

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from semigroup_lab import (
     BiasCheckError,
+    NonFiniteError,
+    TrajectorySample,
     TrajectoryStreams,
     arrival_laplace,
     birth_resolvent,
@@ -20,6 +23,55 @@ from semigroup_lab.rates import ConstantRates, GeometricRates, PolynomialRates
 
 GEO = GeometricRates(2.0)
 SEED = 20260810
+
+
+# per-sample loops: the reference the array estimators are checked against
+def loop_empirical_laplace(samples, lam, rates):
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if not samples:
+        raise ValueError("no samples")
+    values = np.empty(len(samples))
+    bias = 0.0
+    for i, s in enumerate(samples):
+        if s.exploded_within_horizon:
+            values[i] = math.exp(-lam * s.jump_times[-1])
+            bias += lam * rates.inverse_tail(s.final_level)
+        else:
+            values[i] = math.exp(-lam * s.horizon)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    bias /= len(samples)
+    if lam > 0 and bias > max(se, 1e-15):
+        raise BiasCheckError("truncation bias bound exceeds standard error")
+    return mean, se
+
+
+def loop_event_count_estimator(samples, lam, k):
+    values = np.empty(len(samples))
+    for i, s in enumerate(samples):
+        t_k = s.jump_times[k - 1] if k >= 1 and len(s.jump_times) >= k else (
+            0.0 if k == 0 else s.horizon)
+        t_next = s.jump_times[k] if len(s.jump_times) >= k + 1 else s.horizon
+        values[i] = (math.exp(-lam * t_k) - math.exp(-lam * t_next)) / lam
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return mean, se
+
+
+def mixed_samples():
+    """Exploded (three final levels), horizon-stopped and jump-free samples,
+    interleaved."""
+    streams = TrajectoryStreams(master_seed=SEED)
+    groups = [sample_trajectories(GEO, n_start, 50.0, 12, streams, 300)
+              for n_start in (0, 2, 5)]
+    groups.append(sample_trajectories(ConstantRates(3.0), 0, 1.5, 200, streams, 300))
+    groups.append([TrajectorySample(jump_times=np.array([]), final_level=0,
+                                    exploded_within_horizon=False, horizon=0.25)] * 7)
+    mixed = [s for group in zip(*groups[:4]) for s in group] + groups[4]
+    assert len({s.final_level for s in mixed if s.exploded_within_horizon}) == 3
+    assert sum(not s.exploded_within_horizon for s in mixed) == 307
+    return mixed
 
 
 class TestSampling:
@@ -76,6 +128,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_trajectory(GEO, 0, 1.0, 0, streams.stream(0))
 
+    @pytest.mark.parametrize("n_start, level", [(1030, 1030), (1000, 1024)])
+    def test_overflowed_rate_refused_by_level(self, n_start, level):
+        # mu_n = 2**n is inf from n = 1024; its holding times would all be 0
+        rng = TrajectoryStreams(master_seed=0).stream(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"mu_{level} = inf"):
+                sample_trajectory(GEO, n_start, 50.0, 100_000, rng)
+
 
 class TestEmpiricalLaplace:
     def test_lambda_zero_exact(self):
@@ -115,6 +176,70 @@ class TestEmpiricalLaplace:
         _, se_small = empirical_laplace(samples[:10_000], 1.0, GEO)
         _, se_large = empirical_laplace(samples, 1.0, GEO)
         assert se_large == pytest.approx(0.5 * se_small, rel=0.2)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestArrayEstimators:
+    # np.exp and math.exp may differ in the last place, so each value may
+    # move by a few eps (eps / lambda for an event-count difference)
+    def test_empirical_laplace_matches_loop(self):
+        samples = mixed_samples()
+        for lam in (0.0, 0.3, 1.0, 2.0):
+            mean, se = empirical_laplace(samples, lam, GEO)
+            ref_mean, ref_se = loop_empirical_laplace(samples, lam, GEO)
+            assert mean == pytest.approx(ref_mean, rel=1e-15, abs=4 * EPS)
+            assert se == pytest.approx(ref_se, rel=1e-15, abs=4 * EPS)
+
+    def test_bias_check_matches_loop(self):
+        # the loop oracle raises for the shortest jump caps only
+        streams = TrajectoryStreams(master_seed=6)
+        raised = []
+        for max_jumps in range(3, 13):
+            samples = sample_trajectories(GEO, 0, 50.0, max_jumps, streams, 500)
+            outcomes = []
+            for estimator in (loop_empirical_laplace, empirical_laplace):
+                try:
+                    outcomes.append(estimator(samples, 1.0, GEO))
+                except BiasCheckError:
+                    outcomes.append(None)
+            assert (outcomes[0] is None) == (outcomes[1] is None), max_jumps
+            raised.append(outcomes[0] is None)
+        assert raised[0] and not raised[-1]
+
+    def test_bias_bound_reads_one_tail_per_final_level(self, monkeypatch):
+        samples = mixed_samples()
+        levels = []
+        tail = GeometricRates.inverse_tail
+
+        def counted(rates, start):
+            levels.append(start)
+            return tail(rates, start)
+
+        monkeypatch.setattr(GeometricRates, "inverse_tail", counted)
+        empirical_laplace(samples, 1.0, GEO)
+        assert sorted(levels) == [12, 14, 17]
+
+    def test_event_count_matches_loop(self):
+        samples = mixed_samples()
+        for lam in (0.5, 1.0, 3.0):
+            for k in (0, 1, 2, 5, 11, 12, 13, 40):
+                mean, se = event_count_estimator(samples, lam, k)
+                ref_mean, ref_se = loop_event_count_estimator(samples, lam, k)
+                assert mean == pytest.approx(ref_mean, rel=1e-15, abs=4 * EPS / lam)
+                assert se == pytest.approx(ref_se, rel=1e-15, abs=4 * EPS / lam)
+
+    def test_single_sample_and_empty_input(self):
+        sample = mixed_samples()[-1:]
+        assert empirical_laplace(sample, 1.0, GEO)[1] == 0.0
+        assert event_count_estimator(sample, 1.0, 2)[1] == 0.0
+        with pytest.raises(ValueError, match="no samples"):
+            empirical_laplace([], 1.0, GEO)
+        with pytest.raises(ValueError, match="no samples"):
+            event_count_estimator([], 1.0, 0)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            event_count_estimator(sample, 1.0, -1)
 
 
 class TestEventCountTerms:
