@@ -103,16 +103,6 @@ _COLUMNS = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"refusing to write the non-finite value {value}")
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _load_config(path: str, subcommand: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -159,8 +149,12 @@ class _Writer:
         self.header = f"# semigroup-lab v{__version__} subcommand={subcommand} seed={seed}"
 
     def csv(self, name: str, columns, rows) -> Path:
+        """One %.17g template per row; a non-finite cell raises before writing."""
         path = self.out_dir / name
-        lines = [",".join(_fmt(v) for v in row) + "\n" for row in rows]
+        if not np.isfinite(np.asarray(rows, dtype=float)).all():
+            raise NonFiniteError(f"refusing to write non-finite values to {name}")
+        fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+        lines = [fmt % tuple(row) for row in rows]
         with open(path, "w", newline="") as fh:
             fh.write(self.header + "\n")
             fh.write(",".join(columns) + "\n")
@@ -187,10 +181,11 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
     rates.finite_mu_array(0, dim)
+    start = matrix_unit(n_start, n_start, dim)
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
-        defect = conservativity_defect(rates, lam, matrix_unit(n_start, n_start, dim))
+        defect = conservativity_defect(rates, lam, start)
         rows.append((lam, bracket.value, bracket.width, defect))
     writer.csv("arrival.csv",
                ("lambda", "product_value", "bracket_width", "defect_truncated"),
@@ -245,10 +240,10 @@ def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
 def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
-    report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
+    reset_state = matrix_unit(0, 0, dim)
+    report = falsifier_report(rates, dim, reset_state, lam=lam, t=t, seed=seed)
     contraction = reset_contraction_report(
-        lambda l, x: birth_resolvent(rates, l, x),
-        matrix_unit(0, 0, dim), lam)
+        lambda l, x: birth_resolvent(rates, l, x), reset_state, lam)
     writer.json("nonstandard.json", {
         "p11": contraction.p11,
         "interior_max_deviation": report.interior_max_deviation,
@@ -268,23 +263,33 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
-def _grid_steps(X: float, h: float) -> int:
-    """round(X / h), refused before rounding unless the ratio is below 2**31."""
+def _grid(X: float, h: float) -> np.ndarray:
+    """The points k * h for k up to round(X / h), refused before rounding
+    unless the ratio is below 2**31."""
     if not X / h < 2 ** 31:  # also an overflow to inf
         raise ConfigError(f"X / h = {X / h:g} must be below 2**31")
-    return round(X / h)
+    return h * np.arange(round(X / h) + 1)
 
 
-def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
+def _gaussian(spec_text: str, fields, x: np.ndarray) -> np.ndarray:
+    """exp(-((x - center) / width)**2 / 2) for the spec fields center, width."""
+    center, width = _spec_numbers(spec_text, fields)
+    if width <= 0:
+        raise ConfigError(f"{spec_text.split(':')[0]} width must be positive")
+    # far from a narrow center the square overflows to inf and the profile is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * ((x - center) / width) ** 2)
+
+
+def _build_kernel(spec_text: str, X: float, h: float, x: np.ndarray) -> KernelGrid:
     parts = spec_text.split(":")
     if parts[0] == "bump" and len(parts) == 3:
-        center, width = _spec_numbers(spec_text, parts[1:])
-        if width <= 0:
-            raise ConfigError("bump width must be positive")
-        profile = lambda x: math.exp(-0.5 * ((x - center) / width) ** 2)
+        p = _gaussian(spec_text, parts[1:], x)
+        if not p.any():
+            raise ConfigError(f"kernel {spec_text!r} is zero at every grid point")
         try:
-            return KernelGrid.from_profile(profile, X, h)
-        except (ValueError, OverflowError) as exc:
+            return KernelGrid(X, h, np.outer(p, p))
+        except ValueError as exc:
             raise ConfigError(f"bad kernel grid: {exc}") from None
     if parts[0] == "csv" and len(parts) >= 2:
         try:
@@ -301,8 +306,7 @@ def _build_kernel(spec_text: str, X: float, h: float) -> KernelGrid:
 def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
     t, lam = float(config["t"]), float(config["lambda"])
-    _grid_steps(X, h)
-    kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h)
+    kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h, _grid(X, h))
     evolved = apply_semigroup(kernel, t)
     resolved = apply_resolvent(kernel, lam)
     before, after = kernel_trace(kernel), kernel_trace(evolved)
@@ -320,12 +324,7 @@ def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
 def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
     parts = spec_text.split(":")
     if parts[0] == "gauss" and len(parts) == 3:
-        center, width = _spec_numbers(spec_text, parts[1:])
-        if width <= 0:
-            raise ConfigError("gauss width must be positive")
-        # far from a narrow center the square overflows to inf and psi is 0
-        with np.errstate(over="ignore"):
-            return np.exp(-0.5 * ((x - center) / width) ** 2)
+        return _gaussian(spec_text, parts[1:], x)
     if parts[0] == "box" and len(parts) == 3:
         a, b = _spec_numbers(spec_text, parts[1:])
         if not a < b:
@@ -337,10 +336,9 @@ def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
 
 def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
-    steps = _grid_steps(X, h)
-    if steps < 2:
+    x = _grid(X, h)
+    if x.size < 3:
         raise ConfigError("need at least two grid steps")
-    x = h * np.arange(steps + 1)
     psi = _build_profile(config["psi"], x)
     if not psi.any():
         raise ConfigError(f"psi {config['psi']!r} is zero at every grid point")

@@ -46,8 +46,8 @@ class KernelGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0 or self.X <= 0:
-            raise ValueError("X and h must be positive")
+        if not (0 < self.h < math.inf and 0 < self.X / self.h < math.inf):
+            raise ValueError("X and h must be positive, with h and X / h finite")
         m = round(self.X / self.h)
         if abs(m * self.h - self.X) > 1e-12 * self.X:
             raise ValueError("X must be an exact multiple of h")
@@ -122,7 +122,8 @@ def erfc(x):
     """Complementary error function with exact reflection symmetry
     erfc(-x) = 2 - erfc(x); underflows to 0 for large arguments."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x < 0, 2.0 - _scipy_erfc(np.abs(x)), _scipy_erfc(np.abs(x)))
+    tail = _scipy_erfc(np.abs(x))
+    out = np.where(x < 0, 2.0 - tail, tail)
     return float(out) if out.ndim == 0 else out
 
 

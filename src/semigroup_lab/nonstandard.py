@@ -89,8 +89,7 @@ def conservativity_residual(gen: Callable[[np.ndarray], np.ndarray],
 
 
 def reset_contraction_report(resolvent: Callable[[float, np.ndarray], np.ndarray],
-                             reset_state: np.ndarray, lam: float,
-                             powers: int = 20) -> ContractionReport:
+                             reset_state: np.ndarray, lam: float) -> ContractionReport:
     """Check that the reset perturbation is a strict contraction through the
     base resolvent.
 
@@ -110,7 +109,7 @@ def reset_contraction_report(resolvent: Callable[[float, np.ndarray], np.ndarray
     p11 = float(np.real(1.0 - lam * np.trace(resolvent(lam, state))))
     norms = []
     w = state
-    for _ in range(powers):
+    for _ in range(20):  # the first 20 powers
         w = p_r(w)
         norms.append(trace_norm(w))
     ratios = tuple(

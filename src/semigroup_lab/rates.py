@@ -1,6 +1,6 @@
 """Birth-rate sequences and the text grammar used by the CLI and configs.
 
-Grammar (numbers are decimal, optional exponent, strictly positive):
+Grammar (numbers are decimal, optional exponent, strictly positive, finite):
 
     poly:<c>:<p>      mu_n = c * (n+1)**p
     geom:<a>          mu_n = a**n
@@ -81,8 +81,8 @@ class PolynomialRates(RateSequence):
     p: float
 
     def __post_init__(self):
-        if not (self.c > 0 and self.p > 0):
-            raise ValueError("polynomial rates need c > 0 and p > 0")
+        if not (0 < self.c < math.inf and 0 < self.p < math.inf):
+            raise ValueError("polynomial rates need finite c > 0 and p > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start, count)
@@ -105,8 +105,8 @@ class GeometricRates(RateSequence):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("geometric rates need a > 0")
+        if not 0 < self.a < math.inf:
+            raise ValueError("geometric rates need a finite a > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start, count)
@@ -126,8 +126,8 @@ class ConstantRates(RateSequence):
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("constant rates need c > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("constant rates need a finite c > 0")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start, count)
@@ -148,8 +148,8 @@ class ExplicitRates(RateSequence):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("explicit rate list must be non-empty")
-        if any(not v > 0 for v in self.values):
-            raise ValueError("explicit rates must all be positive")
+        if any(not 0 < v < math.inf for v in self.values):
+            raise ValueError("explicit rates must all be positive and finite")
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start, count)
@@ -172,8 +172,8 @@ def _parse_number(text: str, offset: int, what: str) -> float:
     if not _NUMBER.match(token):
         raise RateSpecError(f"malformed number {token!r} in {what}", offset)
     value = float(token)
-    if not value > 0:
-        raise RateSpecError(f"{what} must be strictly positive, got {token!r}", offset)
+    if not 0 < value < math.inf:
+        raise RateSpecError(f"{what} must be positive and finite, got {token!r}", offset)
     return value
 
 

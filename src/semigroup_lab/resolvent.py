@@ -82,25 +82,24 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
     if lam <= 0:
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
+    term = r0(rho)
+    w = perturbation(term)
     if is_selfadjoint(rho) and is_positive_semidefinite(rho, tol=1e-12):
-        witness = np.real(np.trace(perturbation(r0(rho))))
+        witness = np.real(np.trace(w))
         budget = np.real(np.trace(rho))
         if witness > budget + 1e-10 * max(1.0, budget):
             raise ValueError(
                 "perturbation is not dominated by the no-event loss: "
                 f"tr P(R0 rho) = {witness:.6e} > tr rho = {budget:.6e}"
             )
-    term = r0(rho)
     value = term.copy()
     trajectory = [lam * float(np.real(np.trace(value)))]
-    w = rho
     first_increment = None
     trailing_min = np.inf
     stalled = 0
     converged = False
     n = 0
     for n in range(1, max_iter + 1):
-        w = perturbation(r0(w))
         term = r0(w)
         value += term
         trajectory.append(lam * float(np.real(np.trace(value))))
@@ -120,6 +119,7 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
                 f"series increment {inc:.3e} has not decreased for {stalled} "
                 f"iterations and exceeds its initial value {first_increment:.3e}"
             )
+        w = perturbation(term)
     return ResolventSeriesResult(value=value, iterations=n,
                                  trace_trajectory=trajectory,
                                  converged=converged)

@@ -217,6 +217,7 @@ TRAJECTORY = {"rates": "geom:2", "lambda": 1.0, "samples": 10, "horizon": 5.0,
               "max_jumps": 5}
 DIFFUSION = {"X": 4.0, "h": 0.05, "t": 0.5, "lambda": 1.0}
 SHIFT = {"X": 8.0, "h": 0.01, "psi": "gauss:2:0.4"}
+COARSE_DIFFUSION = {"X": 8.0, "h": 0.5, "t": 0.5, "lambda": 1.0}
 
 
 def assert_clean_exit(capsys, code, expected, prefix):
@@ -321,11 +322,40 @@ class TestSpecParsing:
         assert [row for row in rows if row.split(",")[1] != "0"] == \
             ["1,1,0.00050000000000000044"]
 
-    def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["4,0.05\n1,x\n", "1e999,0.5\n1\n",
+                                      "1e300,1e-300\n1\n"])
+    def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "kernel.csv"
-        path.write_text("4,0.05\n1,x\n")
-        code, _ = run_cli(tmp_path, "diffusion", {**DIFFUSION, "kernel": f"csv:{path}"})
+        path.write_text(text)
+        code, out = run_cli(tmp_path, "diffusion",
+                            {**DIFFUSION, "kernel": f"csv:{path}"})
         assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("rates", ["geom:1e999", "poly:1e999:2", "poly:1:1e999",
+                                       "list:1,1e999"])
+    def test_non_finite_rate_parameter_exits_2(self, tmp_path, capsys, rates):
+        code, out = run_cli(tmp_path, "birth", {**BIRTH, "rates": rates})
+        assert_clean_exit(capsys, code, 2, "config error: bad rate spec")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("width", ["1e-170", "1e-300"])
+    def test_narrow_bump_on_a_grid_point_runs_without_warning(self, tmp_path, width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "diffusion",
+                                {**COARSE_DIFFUSION, "kernel": f"bump:2:{width}"})
+        assert code == 0
+        kernel = KernelGrid.from_csv(out / "evolved.csv")
+        assert kernel.values.any()
+
+    def test_bump_zero_on_the_grid_exits_2(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "diffusion",
+                                {**COARSE_DIFFUSION, "kernel": "bump:2.01:1e-300"})
+        assert_clean_exit(capsys, code, 2, "config error: kernel")
+        assert not any(out.iterdir())
 
 
 class TestNonFiniteOutput:
@@ -401,11 +431,11 @@ class TestNonFiniteOutput:
 
     def test_finite_output_bytes_unchanged(self, tmp_path):
         writer = _Writer(tmp_path, "birth", 5)
-        writer.csv("table.csv", ("a", "b", "c"), [(0.1, 2, True), (1e-300, -0.0, False)])
+        writer.csv("table.csv", ("a", "b"), [(0.1, 2), (1e-300, -0.0)])
         writer.json("report.json", {"b": 1 / 3, "a": [1, 2.5]})
         header = f"# semigroup-lab v{__version__} subcommand=birth seed=5\n"
         assert (tmp_path / "table.csv").read_text() == (
-            header + "a,b,c\n0.10000000000000001,2,true\n1e-300,-0,false\n")
+            header + "a,b\n0.10000000000000001,2\n1e-300,-0\n")
         assert (tmp_path / "report.json").read_text() == (
             header + '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": 0.3333333333333333\n}\n')
 

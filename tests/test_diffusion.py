@@ -62,6 +62,12 @@ class TestKernelGrid:
         with pytest.raises(ValueError):
             KernelGrid(X=1.0, h=0.5, values=np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("X, h", [(math.inf, 0.5), (1.0, math.inf),
+                                      (1e300, 1e-300), (math.nan, 0.5)])
+    def test_non_finite_grid_rejected(self, X, h):
+        with pytest.raises(ValueError, match="finite"):
+            KernelGrid(X=X, h=h, values=np.zeros((1, 1)))
+
     def test_non_contiguous_complex_values(self):
         values = (np.arange(16.0) + 1j).reshape(4, 4)[:, ::-1]
         assert not values.flags.c_contiguous

@@ -58,7 +58,7 @@ class TestFamilies:
     @pytest.mark.parametrize("rates, start, count, level", [
         (GeometricRates(2.0), 1000, 64, 1024), (GeometricRates(2.0), 1030, 64, 1030),
         (PolynomialRates(1.0, 400.0), 0, 64, 5),
-        (ExplicitRates((1.0, math.inf, 2.0, math.inf)), 0, 4, 1)])
+        (PolynomialRates(1e308, 2.0), 0, 4, 1)])
     def test_finite_mu_array_refuses_the_first_non_finite_rate(self, rates, start, count,
                                                                 level):
         with warnings.catch_warnings():
@@ -67,6 +67,15 @@ class TestFamilies:
                 rates.finite_mu_array(start, count)
             finite = rates.finite_mu_array(start, level - start)
         assert np.array_equal(finite, rates.mu_array(start, level - start))
+
+    @pytest.mark.parametrize("make", [
+        lambda v: PolynomialRates(v, 2.0), lambda v: PolynomialRates(1.0, v),
+        GeometricRates, ConstantRates, lambda v: ExplicitRates((1.0, v))],
+        ids=["poly_c", "poly_p", "geom", "const", "list"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
 
     def test_negative_index_rejected(self):
         with pytest.raises(RateRangeError):
@@ -123,6 +132,7 @@ class TestParser:
     @pytest.mark.parametrize("bad", [
         "spam:1", "poly:1", "poly:-1:2", "geom:0", "const:", "list:",
         "list:1,,2", "geom:1e", "poly", "const:nan", "const:inf", "geom:1_0",
+        "geom:1e999", "poly:1e999:2", "poly:1:1e999", "list:1,1e999",
     ])
     def test_invalid_inputs_raise(self, bad):
         with pytest.raises(RateSpecError):

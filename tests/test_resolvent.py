@@ -120,6 +120,23 @@ class TestResolventSeries:
             resolvent_series(lambda x: x, lambda x: 2.0 * x, 1.0, rho,
                              max_iter=10 ** 4)
 
+    @pytest.mark.parametrize("make_rho", [random_psd, random_operator])
+    def test_one_r0_and_one_perturbation_per_term(self, rng, make_rho):
+        spec = birth_generator(RATES, 8)
+        calls = {"r0": 0, "p": 0}
+
+        def r0(x):
+            calls["r0"] += 1
+            return no_event_resolvent(RATES, 1.0, x)
+
+        def perturbation(x):
+            calls["p"] += 1
+            return apply_jump(spec, x)
+
+        result = resolvent_series(r0, perturbation, 1.0, make_rho(8, rng))
+        assert result.converged and result.iterations > 1
+        assert calls == {"r0": result.iterations + 1, "p": result.iterations}
+
     def test_series_resolvent_identity(self, rng):
         spec = birth_generator(RATES, 10)
         rho = random_psd(10, rng)
