@@ -322,9 +322,16 @@ class TestSpecParsing:
         assert [row for row in rows if row.split(",")[1] != "0"] == \
             ["1,1,0.00050000000000000044"]
 
-    @pytest.mark.parametrize("text", ["4,0.05\n1,x\n", "1e999,0.5\n1\n",
-                                      "1e300,1e-300\n1\n"])
-    def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys, text):
+    def test_malformed_kernel_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "kernel.csv"
+        path.write_text("4,0.05\n1,x\n")
+        code, out = run_cli(tmp_path, "diffusion",
+                            {**DIFFUSION, "kernel": f"csv:{path}"})
+        assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", ["1e999,0.5\n1\n", "1e300,1e-300\n1\n"])
+    def test_non_finite_kernel_csv_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "kernel.csv"
         path.write_text(text)
         code, out = run_cli(tmp_path, "diffusion",
