@@ -37,6 +37,17 @@ class QuadratureError(ValueError):
     control fails or the kernel scale is unresolved by the spacing."""
 
 
+def _grid_intervals(X: float, h: float) -> int:
+    """M = X / h for a valid grid; raises ValueError before anything is
+    evaluated on a grid that is not one."""
+    if not (0 < h < math.inf and 0 < X / h < math.inf):
+        raise ValueError("X and h must be positive, with h and X / h finite")
+    m = round(X / h)
+    if abs(m * h - X) > 1e-12 * X:
+        raise ValueError("X must be an exact multiple of h")
+    return m
+
+
 @dataclass(frozen=True)
 class KernelGrid:
     """Values omega(i*h, j*h) on [0, X]^2 with X = M*h exactly."""
@@ -46,11 +57,7 @@ class KernelGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.h < math.inf and 0 < self.X / self.h < math.inf):
-            raise ValueError("X and h must be positive, with h and X / h finite")
-        m = round(self.X / self.h)
-        if abs(m * self.h - self.X) > 1e-12 * self.X:
-            raise ValueError("X must be an exact multiple of h")
+        m = _grid_intervals(self.X, self.h)
         values = np.asarray(self.values)
         values = values.astype(complex) if np.iscomplexobj(values) else values.astype(float)
         if values.shape != (m + 1, m + 1):
@@ -72,7 +79,7 @@ class KernelGrid:
     @classmethod
     def from_function(cls, f: Callable[[float, float], complex], X: float,
                       h: float) -> "KernelGrid":
-        m = round(X / h)
+        m = _grid_intervals(X, h)
         x = h * np.arange(m + 1)
         values = np.array([[f(xi, yj) for yj in x] for xi in x])
         return cls(X=X, h=h, values=values)
@@ -81,7 +88,7 @@ class KernelGrid:
     def from_profile(cls, phi: Callable[[float], complex], X: float, h: float
                      ) -> "KernelGrid":
         """Product kernel phi(x) * conj(phi(y))."""
-        m = round(X / h)
+        m = _grid_intervals(X, h)
         p = np.array([phi(v) for v in h * np.arange(m + 1)])
         return cls(X=X, h=h, values=np.outer(p, p.conj()))
 

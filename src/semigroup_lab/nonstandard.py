@@ -19,7 +19,7 @@ import numpy as np
 
 from .birth import band_domain_element, birth_generator, birth_resolvent, \
     conservativity_defect
-from .operators import as_operator, is_positive_semidefinite, \
+from .operators import _matrix_of, as_operator, is_positive_semidefinite, \
     matrix_exponential_apply, matrix_unit, rank_one, trace_norm
 from .rates import RateSequence
 from .resolvent import resolvent_series
@@ -46,6 +46,23 @@ class TraceResetGenerator:
             raise ValueError("operator dimension does not match the reset state")
         out = self.base(rho)
         return out - np.trace(out) * self.reset_state
+
+    def superop_matrix(self, dim: int) -> np.ndarray:
+        """Matrix of the base map minus vec(rho_hat) times its trace row.
+
+        The trace row, the sum of the rows a*(dim+1) of the base matrix, maps
+        vec(rho) to tr g(rho); it is subtracted, scaled, from each row where
+        vec(rho_hat) is nonzero.  The base matrix comes from the base's own
+        method when it has one, else from the column loop.
+        """
+        if dim != self.reset_state.shape[0]:
+            raise ValueError("operator dimension does not match the reset state")
+        m = _matrix_of(self.base, dim)
+        trace_row = m[::dim + 1].sum(axis=0)
+        state = self.reset_state.ravel()
+        for row in np.flatnonzero(state):
+            m[row] -= state[row] * trace_row
+        return m
 
 
 @dataclass(frozen=True)

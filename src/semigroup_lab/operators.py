@@ -4,10 +4,17 @@ Operators on the first N basis levels are plain complex ndarrays of shape
 (N, N), entry (n, m) = <n|rho|m>.  Everything here is a pure function; all
 heavy lifting is delegated to LAPACK via numpy/scipy.
 
-A linear map on operators has a dim^2 x dim^2 matrix (`superop_matrix`).
-Matrix functions of it (exponential, inverse, powers) act on each weakly
-connected component of its nonzero pattern alone (`superop_blocks`); the
-birth and reset generators split into 2*dim - 1 offset-diagonal blocks.
+A linear map on operators has a dim^2 x dim^2 matrix (`superop_matrix`),
+assembled by one of two routes.  A map that knows its own matrix supplies it
+through a `superop_matrix(dim)` method: `StandardGeneratorSpec` (the GKLS
+closed form) and `TraceResetGenerator` (its base's matrix minus a rank-one
+trace row).  Every other callable -- resolvent maps, random test maps,
+lambdas -- is applied to each matrix unit E_ij, dim^2 calls; that column loop
+is the reference route for the structured one.
+
+Matrix functions of that matrix (exponential, inverse, powers) act on each
+weakly connected component of its nonzero pattern alone (`superop_blocks`);
+the birth and reset generators split into 2*dim - 1 offset-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -84,10 +91,24 @@ def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:
 
 
 def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Dense dim^2 x dim^2 matrix of a linear map, column by column.
+    """Dense dim^2 x dim^2 matrix of a linear map.
 
-    Vectorization is row-major: E_ij maps to column i*dim + j.
+    Vectorization is row-major: E_ij maps to column i*dim + j.  A map with a
+    `superop_matrix(dim)` method (`StandardGeneratorSpec`,
+    `TraceResetGenerator`) builds the matrix itself without calling the map;
+    any other callable is applied to every matrix unit, column by column.
     """
+    return _matrix_of(superop, dim)
+
+
+def _matrix_of(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+    """superop_matrix for maps whose own matrix starts from the matrix of
+    another map, so that one assembly stays one superop_matrix call."""
+    own = getattr(superop, "superop_matrix", None)
+    return own(dim) if own is not None else _column_loop(superop, dim)
+
+
+def _column_loop(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     m = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):

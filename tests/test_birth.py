@@ -153,6 +153,14 @@ class TestClosedFormResolvent:
         direct = resolvent_direct(spec, lam, rho)
         assert np.abs(closed - direct).max() <= 1e-10
 
+    def test_matches_dense_solve_at_larger_dim(self, rng):
+        # the dense superoperator matrix alone takes 16 * 48**4 bytes (85 MB)
+        dim = 48
+        rho = random_operator(dim, rng)
+        closed = birth_resolvent(LINEAR, 1.0, rho)
+        direct = resolvent_direct(birth_generator(LINEAR, dim), 1.0, rho)
+        assert np.abs(closed - direct).max() <= 1e-10
+
     def test_dominant_lambda_limit(self):
         values = [lam * birth_resolvent(POLY, lam, matrix_unit(0, 0, 4))[0, 0].real
                   for lam in (1e2, 1e4, 1e6)]

@@ -68,6 +68,15 @@ class TestKernelGrid:
         with pytest.raises(ValueError, match="finite"):
             KernelGrid(X=X, h=h, values=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("build", ["from_profile", "from_function"])
+    @pytest.mark.parametrize("X, h", [(math.inf, 0.5), (1e300, 1e-300), (1.0, 0.0)])
+    def test_invalid_grid_rejected_before_evaluation(self, build, X, h):
+        def never(*args):
+            pytest.fail("the kernel was evaluated on an invalid grid")
+
+        with pytest.raises(ValueError, match="finite"):
+            getattr(KernelGrid, build)(never, X, h)
+
     def test_non_contiguous_complex_values(self):
         values = (np.arange(16.0) + 1j).reshape(4, 4)[:, ::-1]
         assert not values.flags.c_contiguous

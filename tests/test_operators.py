@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semigroup_lab import (
+    StandardGeneratorSpec,
+    TraceResetGenerator,
     apply_standard,
     birth_generator,
     birth_resolvent,
@@ -20,6 +22,7 @@ from semigroup_lab import (
     superop_matrix,
     trace_norm,
 )
+from semigroup_lab import generators
 from semigroup_lab.rates import PolynomialRates
 
 from conftest import block_maps, random_operator, random_psd, random_vector
@@ -170,6 +173,65 @@ class TestSuperopMatrix:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             superop_matrix(lambda rho: np.zeros((3, 3)), 2)
+
+
+def dissipative_spec(dim, jumps, rng):
+    ls = [random_operator(dim, rng) for _ in range(jumps)]
+    h = random_operator(dim, rng)
+    k = 0.5j * (h + h.conj().T) - 0.5 * sum((l.conj().T @ l for l in ls), 0.1 * np.eye(dim))
+    return StandardGeneratorSpec(K=k, jumps=tuple(ls))
+
+
+def loop_matrix(superop, dim):
+    # a plain callable has no matrix method, so this takes the column loop
+    return superop_matrix(lambda x: superop(x), dim)
+
+
+class TestStructuredSuperopMatrix:
+    """The matrices StandardGeneratorSpec and TraceResetGenerator build
+    themselves against the column loop over matrix units."""
+
+    @pytest.mark.parametrize("dim", [2, 7, 30])
+    def test_birth_and_pure_reset_equal_the_loop(self, rng, dim):
+        spec = birth_generator(PolynomialRates(1.0, 2.0), dim)
+        psi = random_vector(dim, rng)
+        reset = TraceResetGenerator(base=spec, reset_state=rank_one(psi, psi))
+        assert np.array_equal(superop_matrix(spec, dim), loop_matrix(spec, dim))
+        assert np.array_equal(superop_matrix(reset, dim), loop_matrix(reset, dim))
+
+    @pytest.mark.parametrize("jumps", [0, 1, 3])
+    def test_dissipative_spec_matches_the_loop(self, rng, jumps):
+        spec = dissipative_spec(5, jumps, rng)
+        ref = loop_matrix(spec, 5)
+        assert np.allclose(superop_matrix(spec, 5), ref, rtol=1e-14,
+                           atol=1e-14 * np.abs(ref).max())
+
+    def test_mixed_reset_on_a_generic_base_matches_the_loop(self, rng):
+        spec = dissipative_spec(5, 2, rng)
+        reset = TraceResetGenerator(base=lambda x: spec(x), reset_state=random_psd(5, rng))
+        ref = loop_matrix(reset, 5)
+        assert np.allclose(superop_matrix(reset, 5), ref, rtol=1e-14,
+                           atol=1e-14 * np.abs(ref).max())
+
+    def test_dim_mismatch_rejected(self):
+        spec = birth_generator(PolynomialRates(1.0, 2.0), 4)
+        reset = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, 4))
+        for superop in (spec, reset):
+            with pytest.raises(ValueError, match="does not match"):
+                superop_matrix(superop, 3)
+
+    def test_assembly_makes_no_generator_call(self, monkeypatch):
+        def refuse(spec, rho):
+            raise AssertionError("generator called during assembly")
+
+        spec = birth_generator(PolynomialRates(1.0, 2.0), 6)
+        reset = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, 6))
+        expected = superop_matrix(reset, 6)
+        monkeypatch.setattr(generators, "apply_standard", refuse)
+        with pytest.raises(AssertionError):
+            spec(matrix_unit(0, 0, 6))
+        superop_matrix(spec, 6)
+        assert np.array_equal(superop_matrix(reset, 6), expected)
 
 
 class TestSuperopBlocks:
