@@ -64,20 +64,23 @@ _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _DIMENSION = ("at least 2 and below 2**31", lambda v: 2 <= v < 2 ** 31)
+# the dense oracles hold one complex (N, N, N, N) superoperator: 16 N**4 bytes
+_DENSE_DIMENSION = ("at least 2 and at most 107, for a dense superoperator "
+                    "of at most 2 GiB", lambda v: 2 <= v and 16 * v ** 4 <= 2 ** 31)
 
 SCHEMAS = {
     "birth": {"rates": (_STR, True, None), "lambda": (_LAMBDAS, True, _POSITIVE),
               "N": (_INT, True, _DIMENSION), "n_start": (_INT, False, None),
               "tail_tol": (_NUMBER, False, _POSITIVE)},
     "minimal": {"rates": (_STR, True, None), "lambda": (_NUMBER, True, _POSITIVE),
-                "N": (_INT, True, _DIMENSION), "tol": (_NUMBER, True, _POSITIVE)},
+                "N": (_INT, True, _DENSE_DIMENSION), "tol": (_NUMBER, True, _POSITIVE)},
     "trajectory": {"rates": (_STR, True, None),
                    "lambda": (_LAMBDAS, True, _NONNEGATIVE),
                    "samples": (_INT, True, _AT_LEAST_1),
                    "horizon": (_NUMBER, True, _POSITIVE),
                    "max_jumps": (_INT, True, _AT_LEAST_1),
                    "n_start": (_INT, False, _NONNEGATIVE)},
-    "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _DIMENSION),
+    "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _DENSE_DIMENSION),
                     "lambda": (_NUMBER, True, _POSITIVE),
                     "t": (_NUMBER, True, _NONNEGATIVE)},
     "diffusion": {"X": (_NUMBER, True, _POSITIVE), "h": (_NUMBER, True, _POSITIVE),

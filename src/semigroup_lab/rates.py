@@ -150,6 +150,12 @@ class ExplicitRates(RateSequence):
             raise ValueError("explicit rate list must be non-empty")
         if any(not 0 < v < math.inf for v in self.values):
             raise ValueError("explicit rates must all be positive and finite")
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        # computed once: the trajectory sampler's rate cache hashes its key
+        # per chunk, and a long list would cost O(len) each time
+        return self._hash
 
     def mu_array(self, start: int, count: int) -> np.ndarray:
         _check_index(start, count)

@@ -1,13 +1,15 @@
 """Stochastic realization of the birth process, plus the half-sided shift
 arrival-density demo.
 
-Each trajectory consumes its own deterministic substream keyed by
-(master_seed, index); identical keys reproduce identical trajectories no
-matter in which order or on how many workers they are drawn.
+Trajectories are drawn in blocks of _BLOCK; the trajectories of one block
+draw in turn from one deterministic stream keyed by (master_seed, block id).
+Identical keys reproduce identical blocks no matter in which order or on how
+many workers the blocks are drawn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from .operators import as_operator
 from .rates import RateSequence
 
 _CHUNK = 64
+_BLOCK = 4096
 
 
 class BiasCheckError(RuntimeError):
@@ -29,7 +32,9 @@ class BiasCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrajectoryStreams:
-    """Splittable, counter-addressable random streams for trajectories."""
+    """Splittable, counter-addressable random streams for trajectories:
+    stream(b) serves the trajectories of block b, keyed by
+    (master_seed, block id)."""
 
     master_seed: int
 
@@ -57,17 +62,29 @@ class ShiftArrivalTable:
     norm_sq: float
 
 
+@functools.lru_cache(maxsize=128)
+def _rate_chunk(rates: RateSequence, level: int, count: int) -> np.ndarray:
+    """rates.finite_mu_array(level, count), shared read-only between calls;
+    a NonFiniteError is raised again on every call, never cached."""
+    mu = rates.finite_mu_array(level, count)
+    mu.flags.writeable = False
+    return mu
+
+
 def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
                       max_jumps: int, rng: np.random.Generator
                       ) -> TrajectorySample:
-    """Draw one trajectory: exponential holding times -ln(U)/mu_n, U in (0,1].
+    """Draw one trajectory: holding times E/mu_n with E standard exponential.
 
-    Stops at the horizon or after max_jumps jumps; the explosion flag is set
-    when the max_jumps-th jump still falls inside the horizon.  A rate that
-    is not finite would give holding times of 0 up to the jump cap; it is
-    refused with NonFiniteError naming its level.
+    Stops at the horizon (which may be infinite, but not NaN) or after
+    max_jumps jumps; the explosion flag is set when the max_jumps-th jump
+    still falls inside the horizon.  A rate that is not finite would give
+    holding times of 0 up to the jump cap; it is refused with NonFiniteError
+    naming its level.  Each chunk of rates, at the levels n_start + k*_CHUNK,
+    comes from a bounded cache keyed by (rates, level, count), so `rates`
+    must be hashable.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     if max_jumps < 1:
         raise ValueError("max_jumps must be at least 1")
@@ -76,9 +93,8 @@ def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
     t = 0.0
     while level - n_start < max_jumps:
         chunk = min(_CHUNK, max_jumps - (level - n_start))
-        mu = rates.finite_mu_array(level, chunk)
-        u = 1.0 - rng.random(chunk)             # uniform in (0, 1]
-        cum = t + np.cumsum(-np.log(u) / mu)    # non-decreasing
+        mu = _rate_chunk(rates, level, chunk)
+        cum = t + np.cumsum(rng.standard_exponential(chunk) / mu)  # non-decreasing
         n_in = int(np.searchsorted(cum, horizon, side="right"))
         parts.append(cum[:n_in])
         level += n_in
@@ -95,11 +111,14 @@ def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
 def sample_trajectories(rates: RateSequence, n_start: int, horizon: float,
                         max_jumps: int, streams: TrajectoryStreams,
                         count: int) -> list:
-    """Draw `count` trajectories on streams 0..count-1."""
-    return [
-        sample_trajectory(rates, n_start, horizon, max_jumps, streams.stream(i))
-        for i in range(count)
-    ]
+    """Draw `count` trajectories: trajectory i is drawn from stream
+    i // _BLOCK, after the earlier trajectories of its block."""
+    samples = []
+    for first in range(0, count, _BLOCK):
+        rng = streams.stream(first // _BLOCK)
+        samples.extend(sample_trajectory(rates, n_start, horizon, max_jumps, rng)
+                       for _ in range(min(_BLOCK, count - first)))
+    return samples
 
 
 def _mean_se(values: np.ndarray):

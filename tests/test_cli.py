@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semigroup_lab import KernelGrid, NonFiniteError, __version__
-from semigroup_lab.cli import _Writer, run
+from semigroup_lab.cli import _Writer, _load_config, run
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -269,12 +269,26 @@ class TestConfigRanges:
          "samples * max_jumps must be at most 10**8"),
         ("trajectory", TRAJECTORY, {"samples": 10 ** 9, "max_jumps": 10 ** 9},
          "samples * max_jumps must be at most 10**8"),
+        ("minimal", MINIMAL, {"N": 108}, "N must be at least 2 and at most 107"),
+        ("nonstandard", NONSTANDARD, {"N": 400}, "N must be at least 2 and at most 107"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, subcommand, base, change,
                                     message):
         code, out = run_cli(tmp_path, subcommand, {**base, **change})
         assert_clean_exit(capsys, code, 2, f"config error: {message}")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand, base", [("minimal", MINIMAL),
+                                                  ("nonstandard", NONSTANDARD)])
+    def test_dense_oracle_budget_admits_n_107(self, tmp_path, subcommand, base):
+        # 16 * 107**4 bytes is just below 2 GiB; the config is only loaded
+        path = write_config(tmp_path, {**base, "N": 107})
+        assert _load_config(path, subcommand)["N"] == 107
+
+    def test_dense_oracle_runs_at_n_48(self, tmp_path):
+        code, out = run_cli(tmp_path, "minimal", {**MINIMAL, "N": 48})
+        assert code == 0
+        assert read_json(out / "minimal.json")["converged"] is True
 
     def test_nonstandard_zero_time_is_allowed(self, tmp_path):
         code, out = run_cli(tmp_path, "nonstandard", {**NONSTANDARD, "t": 0})

@@ -164,4 +164,6 @@ def test_poly_round_trip_hypothesis(c, p):
 @given(st.lists(positive_floats, min_size=1, max_size=8))
 def test_list_round_trip_hypothesis(values):
     parsed = parse_rate_spec("list:" + ",".join(repr(v) for v in values))
-    assert parse_rate_spec(format_rate_spec(parsed)) == parsed
+    again = parse_rate_spec(format_rate_spec(parsed))
+    assert again == parsed
+    assert hash(again) == hash(parsed)  # the cached hash follows equality

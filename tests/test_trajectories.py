@@ -20,6 +20,7 @@ from semigroup_lab import (
     shift_arrival_density,
 )
 from semigroup_lab.rates import ConstantRates, GeometricRates, PolynomialRates
+from semigroup_lab.trajectories import _BLOCK, _rate_chunk
 
 GEO = GeometricRates(2.0)
 SEED = 20260810
@@ -127,15 +128,57 @@ class TestSampling:
             sample_trajectory(GEO, 0, 0.0, 5, streams.stream(0))
         with pytest.raises(ValueError):
             sample_trajectory(GEO, 0, 1.0, 0, streams.stream(0))
+        # a NaN horizon compares false with every jump time: linear rates
+        # would run to the jump cap and be flagged as exploded
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            sample_trajectory(PolynomialRates(1, 1), 0, math.nan, 100, streams.stream(0))
+
+    def test_infinite_horizon_runs_to_the_jump_cap(self):
+        s = sample_trajectory(PolynomialRates(1, 1), 0, math.inf, 100,
+                              TrajectoryStreams(master_seed=0).stream(0))
+        assert s.final_level == len(s.jump_times) == 100
+        assert s.exploded_within_horizon
 
     @pytest.mark.parametrize("n_start, level", [(1030, 1030), (1000, 1024)])
     def test_overflowed_rate_refused_by_level(self, n_start, level):
         # mu_n = 2**n is inf from n = 1024; its holding times would all be 0
+        # refused on every call: the failed rate chunk is never cached
         rng = TrajectoryStreams(master_seed=0).stream(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match=f"mu_{level} = inf"):
-                sample_trajectory(GEO, n_start, 50.0, 100_000, rng)
+            for _ in range(3):
+                with pytest.raises(NonFiniteError, match=f"mu_{level} = inf"):
+                    sample_trajectory(GEO, n_start, 50.0, 100_000, rng)
+
+
+def same_trajectory(a, b):
+    return (np.array_equal(a.jump_times, b.jump_times)
+            and a.final_level == b.final_level
+            and a.exploded_within_horizon == b.exploded_within_horizon)
+
+
+class TestBlockStreams:
+    def test_prefix_stable_across_counts(self):
+        streams = TrajectoryStreams(master_seed=SEED)
+        longer = sample_trajectories(GEO, 0, 10.0, 16, streams, 2 * _BLOCK)
+        shorter = sample_trajectories(GEO, 0, 10.0, 16, streams, _BLOCK + 10)
+        assert len(shorter) == _BLOCK + 10
+        assert all(map(same_trajectory, longer, shorter))
+
+    def test_block_drawn_from_its_own_stream_alone(self):
+        streams = TrajectoryStreams(master_seed=11)
+        samples = sample_trajectories(GEO, 0, 10.0, 16, streams, 2 * _BLOCK + 100)
+        rng = streams.stream(1)
+        block = [sample_trajectory(GEO, 0, 10.0, 16, rng) for _ in range(_BLOCK)]
+        assert all(map(same_trajectory, samples[_BLOCK:2 * _BLOCK], block))
+        assert not same_trajectory(samples[0], block[0])
+
+    def test_rate_chunk_is_shared_and_read_only(self):
+        mu = _rate_chunk(GEO, 3, 64)
+        assert mu is _rate_chunk(GEO, 3, 64)
+        assert np.array_equal(mu, GEO.mu_array(3, 64))
+        with pytest.raises(ValueError, match="read-only"):
+            mu[0] = 0.0
 
 
 class TestEmpiricalLaplace:
