@@ -48,7 +48,6 @@ from .generators import (
     gauge_transform,
 )
 from .nonstandard import (
-    ContractionReport,
     FalsifierReport,
     TraceResetGenerator,
     birth_reset_resolvent_series,

@@ -132,7 +132,7 @@ def birth_generator_apply(rates: RateSequence, a: np.ndarray) -> np.ndarray:
 def no_event_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndarray:
     """Resolvent of the no-event part alone: entrywise division by
     lambda + (mu_n + mu_m)/2."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
     mu = rates.mu_array(0, rho.shape[0])
@@ -146,7 +146,7 @@ def birth_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndar
     applied to rho[n-k, m-k], divided by lambda + (mu_n + mu_m)/2.  Exact on
     all represented entries because inflow only moves indices upward.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
     dim = rho.shape[0]
@@ -166,7 +166,7 @@ def birth_resolvent_entry(rates: RateSequence, lam: float, rho: EntryAccessor,
     `rho` may be an ndarray or a callable (n, m) -> entry; the callable form
     allows probing indices far beyond any stored truncation.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     entry = _entry_accessor(rho)
     s = min(n, m)
@@ -201,11 +201,16 @@ def _entry_accessor(rho: EntryAccessor) -> Callable[[int, int], complex]:
 
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
                             count: int) -> float:
-    """Product of 1/(1 + lambda/mu_j) over exactly `count` factors."""
-    if lam < 0:
+    """Product of 1/(1 + lambda/mu_j) over exactly `count` factors, j from
+    n_start.  It is the Laplace transform of the time to climb through these
+    levels, so with count = N - n_start it is the defect of the chain
+    truncated at N and started on level n_start.  A rate that overflows is a
+    factor of 1, a ratio lambda/mu_j that overflows a factor of 0."""
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
-    mu = rates.mu_array(n_start, count)
-    return float(np.prod(1.0 / (1.0 + lam / mu)))
+    with np.errstate(over="ignore"):
+        ratio = lam / rates.mu_array(n_start, count)
+    return float(np.prod(1.0 / (1.0 + ratio)))
 
 
 def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
@@ -223,9 +228,9 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     product over the listed range is returned with a flag, and it is an
     error when the list runs out while the tail is not provably negligible.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     if lam == 0:
         return ArrivalBracket(value=1.0, lower=1.0, upper=1.0, n_factors=0)
@@ -270,7 +275,7 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
 def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> float:
     """Normalization loss in Laplace picture: 1 - lambda * tr(R_lambda rho)
     over the truncation carried by rho; the trace needs the diagonal band only."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
     mu = rates.mu_array(0, rho.shape[0])
@@ -278,13 +283,13 @@ def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> f
 
 
 def band_functional(rates: RateSequence, rho: EntryAccessor, q: int,
-                    n_probe: int, tol: float = 1e-2):
+                    n_probe: int):
     """Probe the limit of F(n) = (mu_n + mu_{n+q})/2 * <n|rho|n+q>.
 
     The limit exists for every generator-domain element; it vanishes on the
     no-event domain and picks out the normalization flux for q = 0.  Returns
-    (F(n_probe), converged) where convergence compares the probe against the
-    half-way point n_probe // 2.
+    (F(n_probe), converged) where converged means the probe lies within 1e-2
+    of the half-way point n_probe // 2.
     """
     if n_probe < 2:
         raise ValueError("n_probe must be at least 2")
@@ -302,7 +307,7 @@ def band_functional(rates: RateSequence, rho: EntryAccessor, q: int,
         return 0.5 * (rates.mu(n) + rates.mu(n + q)) * entry(n, n + q)
 
     estimate = f(n_probe)
-    converged = abs(estimate - f(n_probe // 2)) < tol
+    converged = abs(estimate - f(n_probe // 2)) < 1e-2
     return estimate, bool(converged)
 
 
@@ -340,7 +345,7 @@ def band_entry(rates: RateSequence, q: int) -> Callable[[int, int], complex]:
 def am_gm_gap(a: float, b: float) -> float:
     """(sqrt(a) - sqrt(b))^2 / (a + b): the arithmetic/geometric mean gap
     1 - 2 sqrt(ab)/(a+b), bounded by (1 - b/a)^2."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("arguments must be positive")
     return (math.sqrt(a) - math.sqrt(b)) ** 2 / (a + b)
 
@@ -391,7 +396,7 @@ def geometric_band_decay(rates: RateSequence, q: int, lam: float,
         raise TypeError("geometric_band_decay requires geometric rates")
     if q < 1:
         raise ValueError("q must be at least 1")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     a = rates.a
     gamma = 2.0 * a ** (q / 2.0) / (1.0 + a ** q)

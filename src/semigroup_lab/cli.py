@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .birth import arrival_laplace, birth_generator, birth_resolvent, \
-    conservativity_defect, no_event_resolvent
+from .birth import arrival_laplace, arrival_partial_product, birth_generator, \
+    birth_resolvent, no_event_resolvent
 from .diffusion import KernelGrid, QuadratureError, apply_resolvent, \
     apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
@@ -63,7 +63,9 @@ _LAMBDAS = ("finite number or list of finite numbers",
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-_DIMENSION = ("at least 2 and below 2**31", lambda v: 2 <= v < 2 ** 31)
+# birth holds a few float64 arrays of N rates, about 32 bytes per level
+_DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 2 GiB",
+              lambda v: 2 <= v <= 2 ** 26)
 # the dense oracles hold one complex (N, N, N, N) superoperator: 16 N**4 bytes
 _DENSE_DIMENSION = ("at least 2 and at most 107, for a dense superoperator "
                     "of at most 2 GiB", lambda v: 2 <= v and 16 * v ** 4 <= 2 ** 31)
@@ -184,11 +186,10 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
     rates.finite_mu_array(0, dim)
-    start = matrix_unit(n_start, n_start, dim)
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
-        defect = conservativity_defect(rates, lam, start)
+        defect = arrival_partial_product(rates, lam, n_start, dim - n_start)
         rows.append((lam, bracket.value, bracket.width, defect))
     writer.csv("arrival.csv",
                ("lambda", "product_value", "bracket_width", "defect_truncated"),
@@ -245,10 +246,10 @@ def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
     reset_state = matrix_unit(0, 0, dim)
     report = falsifier_report(rates, dim, reset_state, lam=lam, t=t, seed=seed)
-    contraction = reset_contraction_report(
+    p11 = reset_contraction_report(
         lambda l, x: birth_resolvent(rates, l, x), reset_state, lam)
     writer.json("nonstandard.json", {
-        "p11": contraction.p11,
+        "p11": p11,
         "interior_max_deviation": report.interior_max_deviation,
         "reset_difference_trace_norm": report.reset_difference_trace_norm,
         "base_defect": report.base_defect,
@@ -266,11 +267,18 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
-def _grid(X: float, h: float) -> np.ndarray:
+# grid budgets for a peak of about 2 GiB: diffusion holds about 11.5 float64
+# arrays of (M+1)**2 entries, shift-demo about 340 bytes per grid point
+_DIFFUSION_POINTS = 4729
+_SHIFT_POINTS = 2 ** 22
+
+
+def _grid(X: float, h: float, max_points: int) -> np.ndarray:
     """The points k * h for k up to round(X / h), refused before rounding
-    unless the ratio is below 2**31."""
-    if not X / h < 2 ** 31:  # also an overflow to inf
-        raise ConfigError(f"X / h = {X / h:g} must be below 2**31")
+    unless there are at most max_points of them."""
+    if not X / h <= max_points - 1:  # also an overflow to inf
+        raise ConfigError(f"X / h = {X / h:g} must be at most {max_points - 1}, "
+                          f"for a grid of at most {max_points} points")
     return h * np.arange(round(X / h) + 1)
 
 
@@ -309,7 +317,8 @@ def _build_kernel(spec_text: str, X: float, h: float, x: np.ndarray) -> KernelGr
 def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
     t, lam = float(config["t"]), float(config["lambda"])
-    kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h, _grid(X, h))
+    x = _grid(X, h, _DIFFUSION_POINTS)
+    kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h, x)
     evolved = apply_semigroup(kernel, t)
     resolved = apply_resolvent(kernel, lam)
     before, after = kernel_trace(kernel), kernel_trace(evolved)
@@ -339,7 +348,7 @@ def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
 
 def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
     X, h = float(config["X"]), float(config["h"])
-    x = _grid(X, h)
+    x = _grid(X, h, _SHIFT_POINTS)
     if x.size < 3:
         raise ConfigError("need at least two grid steps")
     psi = _build_profile(config["psi"], x)

@@ -134,14 +134,14 @@ def erfc(x):
     return float(out) if out.ndim == 0 else out
 
 
-def support_extent(kernel: KernelGrid, rtol: float = 1e-12) -> float:
+def support_extent(kernel: KernelGrid) -> float:
     """Largest coordinate (along either axis) carrying an entry above
-    rtol * maxabs; 0 for an all-zero kernel."""
+    1e-12 * maxabs; 0 for an all-zero kernel."""
     mag = np.abs(kernel.values)
     peak = mag.max()
     if peak == 0:
         return 0.0
-    rows, cols = np.nonzero(mag > rtol * peak)
+    rows, cols = np.nonzero(mag > 1e-12 * peak)
     return float(kernel.h * max(rows.max(), cols.max()))
 
 
@@ -169,7 +169,7 @@ def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
     numerical support must satisfy X >= support + 8 sqrt(t) (far-edge tail
     control) and the Gaussian width must be resolved, sqrt(4t) >= 2h.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if math.sqrt(4.0 * t) < 2.0 * kernel.h:
         raise QuadratureError(
@@ -194,7 +194,7 @@ def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
 def apply_resolvent(kernel: KernelGrid, lam: float) -> KernelGrid:
     """Resolvent of the diffusion: two-sided exponential image profile
     (2 sqrt(lam))^-1 [e^{-sqrt(lam)|m - xi|} - e^{-sqrt(lam)(m + xi)}]."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     if math.sqrt(lam) * kernel.h > 0.5:
         raise QuadratureError(
@@ -218,7 +218,7 @@ def kernel_trace(kernel: KernelGrid) -> float:
 def trace_loss(kernel: KernelGrid, t: float) -> float:
     """Normalization lost up to time t:
     int erfc(xi / (2 sqrt(t))) omega(xi, xi) dxi."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     factor = erfc(kernel.x / (2.0 * math.sqrt(t)))
     return float(np.real(

@@ -66,16 +66,6 @@ class TraceResetGenerator:
 
 
 @dataclass(frozen=True)
-class ContractionReport:
-    """Spectral data of the rank-one reset perturbation composed with the
-    base resolvent: the scalar p11 and the observed decay of its powers."""
-
-    p11: float
-    norms: tuple
-    ratios: tuple
-
-
-@dataclass(frozen=True)
 class FalsifierReport:
     """Numerical ingredients of the non-standardness argument."""
 
@@ -84,17 +74,17 @@ class FalsifierReport:
     base_defect: float
     reset_residual: float
 
-    def consistent(self, defect_floor: float = 0.0) -> bool:
+    def consistent(self) -> bool:
         return (self.interior_max_deviation <= 1e-12
                 and abs(self.reset_difference_trace_norm - 1.0) <= 1e-10
-                and self.base_defect > defect_floor
+                and self.base_defect > 0
                 and self.reset_residual <= 1e-9)
 
 
 def conservativity_residual(gen: Callable[[np.ndarray], np.ndarray],
                             rho: np.ndarray, t: float) -> float:
     """|1 - tr exp(t gen) rho| for a unit-trace positive rho."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     rho = as_operator(rho)
     if abs(np.trace(rho) - 1.0) > 1e-10:
@@ -106,43 +96,27 @@ def conservativity_residual(gen: Callable[[np.ndarray], np.ndarray],
 
 
 def reset_contraction_report(resolvent: Callable[[float, np.ndarray], np.ndarray],
-                             reset_state: np.ndarray, lam: float) -> ContractionReport:
-    """Check that the reset perturbation is a strict contraction through the
-    base resolvent.
+                             reset_state: np.ndarray, lam: float) -> float:
+    """The scalar p11 = 1 - lam tr R_lam(reset_state) of the reset
+    perturbation composed with the base resolvent.
 
-    The composed map P R_lam sends rho to (tr rho - lam tr R_lam rho) *
-    reset_state, so its action on the span of the reset state is the scalar
-    p11 = 1 - lam tr R_lam(reset_state); |p11| < 1 makes the powers decay
-    geometrically and keeps the perturbed domain equal to the base domain.
+    P R_lam sends rho to (tr rho - lam tr R_lam rho) * reset_state, a rank-one
+    map whose powers act on the reset state as p11^k; |p11| < 1 makes it a
+    strict contraction and keeps the perturbed domain equal to the base one.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     state = as_operator(reset_state)
-
-    def p_r(rho: np.ndarray) -> np.ndarray:
-        defect = np.trace(rho) - lam * np.trace(resolvent(lam, rho))
-        return defect * state
-
-    p11 = float(np.real(1.0 - lam * np.trace(resolvent(lam, state))))
-    norms = []
-    w = state
-    for _ in range(20):  # the first 20 powers
-        w = p_r(w)
-        norms.append(trace_norm(w))
-    ratios = tuple(
-        norms[i + 1] / norms[i] for i in range(len(norms) - 1) if norms[i] > 0
-    )
-    return ContractionReport(p11=p11, norms=tuple(norms), ratios=ratios)
+    return float(np.real(1.0 - lam * np.trace(resolvent(lam, state))))
 
 
 def falsifier_report(rates: RateSequence, dim: int,
                      reset_state: np.ndarray = None, lam: float = 1.0,
-                     t: float = 1.0, trials: int = 100,
-                     seed: int = 0) -> FalsifierReport:
+                     t: float = 1.0, seed: int = 0) -> FalsifierReport:
     """Collect the three numerical ingredients of non-standardness for the
     birth instance.
 
-    (i)  g_hat equals g on random interior finite-rank elements;
+    (i)  g_hat equals g on 100 random interior finite-rank elements;
     (ii) g_hat differs from g by exactly the reset state on the diagonal
          band element, whose flux is one;
     (iii) the base semigroup loses normalization (positive defect) while the
@@ -155,7 +129,7 @@ def falsifier_report(rates: RateSequence, dim: int,
 
     rng = np.random.default_rng(seed)
     interior_dev = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         phi[-1] = psi[-1] = 0.0

@@ -24,9 +24,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-SELFADJOINT_RTOL = 1e-12
-
-
 class MatrixExponentialError(RuntimeError):
     """Raised when the reference exponential produces non-finite values."""
 
@@ -46,11 +43,11 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def is_selfadjoint(a: np.ndarray, rtol: float = SELFADJOINT_RTOL) -> bool:
-    """True when max |a[n,m] - conj(a[m,n])| <= rtol * max(1, maxabs(a))."""
+def is_selfadjoint(a: np.ndarray) -> bool:
+    """True when max |a[n,m] - conj(a[m,n])| <= 1e-12 * max(1, maxabs(a))."""
     a = as_operator(a)
     dev = np.abs(a - a.conj().T).max()
-    return bool(dev <= rtol * max(1.0, np.abs(a).max()))
+    return bool(dev <= 1e-12 * max(1.0, np.abs(a).max()))
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -62,11 +59,11 @@ def trace_norm(a: np.ndarray) -> float:
 def is_positive_semidefinite(a: np.ndarray, tol: float = 0.0) -> bool:
     """True when the minimal eigenvalue is >= -tol * max(1, trace_norm(a)).
 
-    The input must be self-adjoint (within the standard tolerance);
+    The input must be self-adjoint (as judged by is_selfadjoint);
     non-self-adjoint matrices are rejected rather than symmetrized silently.
     """
     a = as_operator(a)
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if not is_selfadjoint(a):
         raise ValueError("is_positive_semidefinite requires a self-adjoint matrix")
@@ -170,7 +167,7 @@ def matrix_exponential_apply(
     logarithmically with the generator norm, so stiff generators stay
     affordable.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     rho = as_operator(rho)
     if t == 0:
@@ -187,7 +184,7 @@ def matrix_exponential_operator(
 ) -> np.ndarray:
     """Dense matrix of exp(t*gen) for re-use across many inputs, one expm per
     block of the superoperator matrix."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     out = blockwise(t * superop_matrix(gen, dim), expm)
     if not np.all(np.isfinite(out.view(float))):

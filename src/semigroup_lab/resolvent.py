@@ -53,7 +53,7 @@ def direct_resolvent_factory(gen: Callable[[np.ndarray], np.ndarray], dim: int
     blocks = [(b, m[np.ix_(b, b)]) for b in superop_blocks(m)]
 
     def solve(lam: float, rho: np.ndarray) -> np.ndarray:
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lambda must be positive")
         rhs = as_operator(rho).ravel()
         x = np.empty_like(rhs)
@@ -79,8 +79,8 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
     decrease over 100 consecutive steps raises SeriesDivergenceError instead
     of truncating silently.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0 and tol > 0):
+        raise ValueError("lambda and tol must be positive")
     rho = as_operator(rho)
     term = r0(rho)
     w = perturbation(term)
@@ -127,23 +127,16 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
 
 def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
                     t: float, n: int, rho: np.ndarray) -> np.ndarray:
-    """Reconstruct exp(tG) rho as ((n/t) R_{n/t})^n rho.
-
-    For n exceeding dim^2 the n-fold application is carried out by binary
-    powering of each block of the resolvent's superoperator matrix.
-    """
-    if t <= 0:
+    """Reconstruct exp(tG) rho as ((n/t) R_{n/t})^n rho, the n-th power
+    taken by binary powering of each block of the resolvent's superoperator
+    matrix."""
+    if not t > 0:
         raise ValueError("t must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
     rho = as_operator(rho)
     lam = n / t
     dim = rho.shape[0]
-    if n <= dim * dim:
-        out = rho
-        for _ in range(n):
-            out = lam * resolvent(lam, out)
-        return out
     b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
     power = blockwise(b, lambda block: np.linalg.matrix_power(block, n))
     return (power @ rho.ravel()).reshape(dim, dim)
@@ -153,7 +146,7 @@ def domain_element(resolvent: Callable[[float, np.ndarray], np.ndarray],
                    lam: float, rho_prime: np.ndarray):
     """Canonical generator-domain element R_lam rho' with its generator action
     lam R_lam rho' - rho'."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     rho_prime = as_operator(rho_prime)
     element = resolvent(lam, rho_prime)

@@ -141,7 +141,7 @@ def empirical_laplace(samples: Sequence[TrajectorySample], lam: float,
 
     Returns (mean, standard_error).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     ends = np.array([s.jump_times[-1] if s.exploded_within_horizon else s.horizon
                      for s in samples])
@@ -167,7 +167,7 @@ def n_event_laplace_term(rates: RateSequence, lam: float, k: int,
     if k < 0:
         raise ValueError("k must be nonnegative")
     rho = as_operator(rho)
-    if rho.shape[0] < 2 or lam <= 0:
+    if rho.shape[0] < 2 or not lam > 0:
         raise ValueError("need at least two levels and a positive lambda")
     mu = rates.mu_array(0, rho.shape[0])
     level = np.arange(k + 1)[:, None] + np.arange(rho.shape[0] - k)
@@ -181,7 +181,7 @@ def event_count_estimator(samples: Sequence[TrajectorySample], lam: float,
     """Monte Carlo companion of n_event_laplace_term:
     mean of (exp(-lam T_k) - exp(-lam T_{k+1}))/lam with T_0 = 0 and jump
     times capped at the horizon.  Returns (mean, standard_error)."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -205,7 +205,7 @@ def shift_arrival_density(psi: Sequence[complex], h: float,
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size < 2:
         raise ValueError("psi must be a vector of at least two samples")
-    if h <= 0:
+    if not h > 0:
         raise ValueError("grid spacing must be positive")
     x = h * np.arange(psi.size)
     profile = np.abs(psi) ** 2
@@ -215,7 +215,7 @@ def shift_arrival_density(psi: Sequence[complex], h: float,
         density = profile.copy()
     else:
         times = np.asarray(t_grid, dtype=float)
-        if np.any(times < 0) or np.any(np.diff(times) <= 0):
+        if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
             raise ValueError("arrival times must be nonnegative and increasing")
         density = np.interp(times, x, profile, right=0.0)
     cumulative = np.concatenate(

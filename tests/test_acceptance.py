@@ -157,7 +157,7 @@ def test_criterion_05_domain_functionals():
 
 def test_criterion_06_nonstandard_construction():
     c = _Criterion(6, "trace-reset generator is conservative and non-standard", 10.0)
-    report = falsifier_report(POLY, 30, lam=1.0, t=1.0, trials=100, seed=106)
+    report = falsifier_report(POLY, 30, lam=1.0, t=1.0, seed=106)
     c.check(f"reset residual {report.reset_residual:.2e} <= 1e-9 (t=1, N=30)",
             report.reset_residual <= 1e-9)
     defect = conservativity_defect(GEO, 1.0, matrix_unit(0, 0, 30))

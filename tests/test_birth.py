@@ -334,6 +334,26 @@ class TestConservativityDefect:
         assert 1.0 - acc == pytest.approx(running, abs=1e-14)
 
 
+class TestTruncatedDefectProduct:
+    # the defect of the chain truncated at N from level n_start is the
+    # product over [n_start, N); the general-rho defect is its oracle
+    @pytest.mark.parametrize("rates", [LINEAR, POLY, GEO, GeometricRates(1.01),
+                                       ConstantRates(2.0)])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+    def test_matches_conservativity_defect(self, rates, lam):
+        dim = 60
+        for n_start in (0, 7, 59):
+            defect = conservativity_defect(rates, lam,
+                                           matrix_unit(n_start, n_start, dim))
+            product = arrival_partial_product(rates, lam, n_start, dim - n_start)
+            if defect > 1e-3:
+                assert abs(product - defect) <= 1e-13
+
+    def test_overflowing_ratio_is_a_factor_of_zero(self):
+        with np.errstate(over="raise", invalid="raise"):
+            assert arrival_partial_product(ConstantRates(1e-300), 1e10, 0, 3) == 0.0
+
+
 class TestBandFunctionals:
     def test_finite_rank_gives_zero(self):
         rho = matrix_unit(3, 3, 2000)

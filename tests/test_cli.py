@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from semigroup_lab import KernelGrid, NonFiniteError, __version__
+from semigroup_lab import KernelGrid, NonFiniteError, __version__, cli
 from semigroup_lab.cli import _Writer, _load_config, run
 
 
@@ -42,6 +42,21 @@ class TestBirthSubcommand:
         assert float(row[0]) == 0.5
         assert float(row[1]) > 0.0
         assert float(row[2]) <= 1e-10
+
+    def test_defect_is_the_truncated_product(self, tmp_path):
+        # at geom:1.01, N=600 the defect is 2.5e-20 at lambda = 0.5, where
+        # 1 - lambda tr R would cancel to 0
+        mpmath = pytest.importorskip("mpmath")
+        lambdas = [0.25, 0.5, 1.0, 2.0]
+        code, out = run_cli(tmp_path, "birth",
+                            {"rates": "geom:1.01", "lambda": lambdas, "N": 600})
+        assert code == 0
+        lines = (out / "arrival.csv").read_text().splitlines()[2:]
+        with mpmath.workdps(50):
+            for lam, line in zip(lambdas, lines):
+                expected = mpmath.fprod(1 / (1 + lam / mpmath.mpf(1.01) ** j)
+                                        for j in range(600))
+                assert abs(float(line.split(",")[3]) - expected) <= 1e-13 * expected
 
     def test_byte_identical_reruns(self, tmp_path):
         payload = {"rates": "geom:2", "lambda": [0.5, 1.0], "N": 40}
@@ -193,6 +208,17 @@ class TestConfigValidation:
         code = run(["birth", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_json_list_config_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "birth", [BIRTH])
+        assert_clean_exit(capsys, code, 2, "config error: config must be a JSON object")
+        assert not out.exists()
+
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # a 401-digit lambda: math.isfinite raises OverflowError on it
+        code, out = run_cli(tmp_path, "birth", {**BIRTH, "lambda": 10 ** 400})
+        assert_clean_exit(capsys, code, 2, "config error: config key 'lambda'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_start", [-1, 10, 11])
     def test_birth_start_level_outside_truncation_exits_2(self, tmp_path, capsys,
                                                           n_start):
@@ -271,6 +297,12 @@ class TestConfigRanges:
          "samples * max_jumps must be at most 10**8"),
         ("minimal", MINIMAL, {"N": 108}, "N must be at least 2 and at most 107"),
         ("nonstandard", NONSTANDARD, {"N": 400}, "N must be at least 2 and at most 107"),
+        ("birth", BIRTH, {"N": 2 ** 26 + 1}, "N must be at least 2 and at most 2**26"),
+        ("diffusion", DIFFUSION, {"X": 4729.0, "h": 1.0}, "X / h = 4729 must be at most 4728"),
+        ("diffusion", DIFFUSION, {"X": 400.0, "h": 0.02}, "X / h = 20000 must be at most"),
+        ("shift-demo", SHIFT, {"X": 2.0 ** 22, "h": 1.0},
+         "X / h = 4.1943e+06 must be at most 4194303"),
+        ("shift-demo", SHIFT, {"X": 8.0, "h": 1e-8}, "X / h = 8e+08 must be at most"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, subcommand, base, change,
                                     message):
@@ -284,6 +316,16 @@ class TestConfigRanges:
         # 16 * 107**4 bytes is just below 2 GiB; the config is only loaded
         path = write_config(tmp_path, {**base, "N": 107})
         assert _load_config(path, subcommand)["N"] == 107
+
+    def test_birth_budget_admits_n_2_to_26(self, tmp_path):
+        # about 2 GiB of rate arrays at the limit; the config is only loaded
+        path = write_config(tmp_path, {**BIRTH, "N": 2 ** 26})
+        assert _load_config(path, "birth")["N"] == 2 ** 26
+
+    @pytest.mark.parametrize("X, max_points", [(4728.0, cli._DIFFUSION_POINTS),
+                                               (2.0 ** 22 - 1, cli._SHIFT_POINTS)])
+    def test_grid_budget_admits_its_limit(self, X, max_points):
+        assert cli._grid(X, 1.0, max_points).size == max_points
 
     def test_dense_oracle_runs_at_n_48(self, tmp_path):
         code, out = run_cli(tmp_path, "minimal", {**MINIMAL, "N": 48})
@@ -315,6 +357,30 @@ class TestSpecParsing:
     def test_bad_spec_exits_2(self, tmp_path, capsys, subcommand, payload):
         code, _ = run_cli(tmp_path, subcommand, payload)
         assert_clean_exit(capsys, code, 2, "config error:")
+
+    @pytest.mark.parametrize("subcommand, payload, message", [
+        ("shift-demo", {**SHIFT, "psi": "box:3:1"}, "box needs a < b"),
+        ("shift-demo", {**SHIFT, "psi": "spam:1:2"}, "unknown psi spec"),
+        ("shift-demo", {**SHIFT, "psi": "gauss:2:0"}, "gauss width must be positive"),
+        ("shift-demo", {**SHIFT, "X": 0.5, "h": 0.5}, "need at least two grid steps"),
+        ("diffusion", {**DIFFUSION, "kernel": "spam:1"}, "unknown kernel spec"),
+        ("diffusion", {**DIFFUSION, "kernel": "bump:2:0"}, "bump width must be positive"),
+    ])
+    def test_spec_error_writes_nothing(self, tmp_path, capsys, subcommand, payload,
+                                       message):
+        code, out = run_cli(tmp_path, subcommand, payload)
+        assert_clean_exit(capsys, code, 2, f"config error: {message}")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("X, h", [(2.0, 0.05), (4.0, 0.1)])
+    def test_kernel_csv_off_the_config_grid_exits_2(self, tmp_path, capsys, X, h):
+        path = tmp_path / "kernel.csv"
+        points = round(X / h) + 1
+        KernelGrid(X, h, np.ones((points, points))).to_csv(path)
+        code, out = run_cli(tmp_path, "diffusion", {**DIFFUSION, "kernel": f"csv:{path}"})
+        assert_clean_exit(capsys, code, 2,
+                          "config error: kernel CSV grid does not match")
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("psi", ["gauss:1.0005:1e-300", "gauss:4.0005:1e-310",
                                      "box:8.5:9"])
@@ -412,12 +478,24 @@ class TestNonFiniteOutput:
         assert not (out / "trajectory.csv").exists()
 
     def test_overflow_past_the_rate_check_exits_3(self, tmp_path, capsys):
-        # every rate up to mu_1023 is finite, but mu_1023 + mu_1023 is not
+        # minimal has no rate check of its own: mu_39 = 1e390 overflows in the
+        # generator's rate array, and the catch-all reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "minimal",
+                                {**MINIMAL, "rates": "geom:1e10", "N": 40})
+        assert_clean_exit(capsys, code, 3, "numerical failure: overflow encountered")
+        assert not any(out.iterdir())
+
+    def test_largest_finite_rates_run(self, tmp_path):
+        # every rate up to mu_1023 = 2**1023 is finite and the defect is a
+        # product of factors 1 / (1 + lambda / mu_j): no mu_j + mu_j is formed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1024})
-        assert_clean_exit(capsys, code, 3, "numerical failure: overflow encountered")
-        assert not (out / "arrival.csv").exists()
+        assert code == 0
+        row = (out / "arrival.csv").read_text().splitlines()[2].split(",")
+        assert float(row[3]) == pytest.approx(float(row[1]), rel=1e-12)
 
     def test_arrival_product_past_the_overflow_runs(self, tmp_path):
         # the tail search for lambda = 1e300 reaches mu_1024 = inf, whose

@@ -106,23 +106,16 @@ class TestConservativity:
 
 class TestContractionReport:
     def test_p11_strictly_inside_unit_disc(self):
-        report = reset_contraction_report(
+        p11 = reset_contraction_report(
             lambda lam, x: birth_resolvent(GEO, lam, x),
             matrix_unit(0, 0, 30), 1.0)
-        assert 0.0 < report.p11 < 1.0
-
-    def test_geometric_decay_at_rate_p11(self):
-        report = reset_contraction_report(
-            lambda lam, x: birth_resolvent(GEO, lam, x),
-            matrix_unit(0, 0, 30), 1.0)
-        assert all(r == pytest.approx(report.p11, rel=1e-9) for r in report.ratios)
-        assert report.norms[-1] < report.norms[0]
+        assert 0.0 < p11 < 1.0
 
     def test_p11_is_reset_state_defect(self):
         state = matrix_unit(0, 0, 30)
-        report = reset_contraction_report(
+        p11 = reset_contraction_report(
             lambda lam, x: birth_resolvent(GEO, lam, x), state, 1.0)
-        assert report.p11 == pytest.approx(
+        assert p11 == pytest.approx(
             conservativity_defect(GEO, 1.0, state), abs=1e-12)
 
     def test_domain_budget_comparable(self, rng):
@@ -161,17 +154,17 @@ class TestContractionReport:
 
 class TestFalsifier:
     def test_report_consistent_polynomial(self):
-        report = falsifier_report(POLY, 30, lam=1.0, t=1.0, trials=100, seed=5)
+        report = falsifier_report(POLY, 30, lam=1.0, t=1.0, seed=5)
         assert report.interior_max_deviation <= 1e-12
         assert report.reset_difference_trace_norm == pytest.approx(1.0, abs=1e-10)
         assert report.base_defect > 0.1
         assert report.reset_residual <= 1e-9
-        assert report.consistent(defect_floor=0.1)
+        assert report.consistent()
 
     def test_report_consistent_geometric(self):
         # roundoff in the flux trace scales with the top rate, so the
         # interior agreement is judged relative to mu_max here
-        report = falsifier_report(GEO, 20, lam=1.0, t=1.0, trials=100, seed=3)
+        report = falsifier_report(GEO, 20, lam=1.0, t=1.0, seed=3)
         assert report.interior_max_deviation <= 1e-12 * GEO.mu(19)
         assert report.reset_difference_trace_norm == pytest.approx(1.0, abs=1e-10)
         assert report.base_defect > 0.1
