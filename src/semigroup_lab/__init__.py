@@ -17,10 +17,7 @@ from .birth import (
     band_entry,
     band_functional,
     birth_generator,
-    birth_generator_apply,
     birth_resolvent,
-    birth_resolvent_entry,
-    classical_birth_apply,
     conservativity_defect,
     geometric_band_decay,
     leading_column_report,
@@ -50,7 +47,6 @@ from .generators import (
 from .nonstandard import (
     FalsifierReport,
     TraceResetGenerator,
-    birth_reset_resolvent_series,
     conservativity_residual,
     falsifier_report,
     reset_contraction_report,
@@ -62,7 +58,6 @@ from .operators import (
     is_positive_semidefinite,
     is_selfadjoint,
     matrix_exponential_apply,
-    matrix_exponential_operator,
     matrix_unit,
     rank_one,
     superop_blocks,
@@ -77,14 +72,11 @@ from .rates import (
     RateRangeError,
     RateSequence,
     RateSpecError,
-    format_rate_spec,
     parse_rate_spec,
 )
 from .resolvent import (
     ResolventSeriesResult,
     SeriesDivergenceError,
-    direct_resolvent_factory,
-    domain_element,
     euler_semigroup,
     resolvent_direct,
     resolvent_series,

@@ -98,37 +98,6 @@ def birth_generator(rates: RateSequence, dim: int) -> StandardGeneratorSpec:
     return StandardGeneratorSpec(K=k, jumps=(l,))
 
 
-def classical_birth_apply(rates: RateSequence, p: Sequence[float]) -> np.ndarray:
-    """Classical birth generator on a probability vector.
-
-    (Gp)(n) = mu_{n-1} p(n-1) - mu_n p(n) with p(-1) = 0; the outflow from the
-    top represented level is kept while its inflow target is dropped, so the
-    total sums to -mu_{N-1} p(N-1).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("p must be a nonempty vector")
-    mu = rates.mu_array(0, p.size)
-    out = -mu * p
-    out[1:] += mu[:-1] * p[:-1]
-    return out
-
-
-def birth_generator_apply(rates: RateSequence, a: np.ndarray) -> np.ndarray:
-    """Entrywise birth generator, valid for arbitrary matrices.
-
-    This is the extension of the generator beyond finite-rank inputs; on the
-    truncation it coincides with apply_standard of birth_generator.
-    """
-    a = as_operator(a)
-    dim = a.shape[0]
-    mu = rates.mu_array(0, dim)
-    root = np.sqrt(mu[:-1])
-    out = -0.5 * (mu[:, None] + mu[None, :]) * a
-    out[1:, 1:] += np.outer(root, root) * a[:-1, :-1]
-    return out
-
-
 def no_event_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndarray:
     """Resolvent of the no-event part alone: entrywise division by
     lambda + (mu_n + mu_m)/2."""
@@ -157,24 +126,6 @@ def birth_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndar
     x = _solve_bands(lam, mu[:, None, None], mu_m[:, None],
                      np.stack(to_bands(rho), axis=1))
     return from_bands(x[:, 0], x[:, 1])
-
-
-def birth_resolvent_entry(rates: RateSequence, lam: float, rho: EntryAccessor,
-                          n: int, m: int) -> complex:
-    """Single entry of the closed-form resolvent.
-
-    `rho` may be an ndarray or a callable (n, m) -> entry; the callable form
-    allows probing indices far beyond any stored truncation.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    entry = _entry_accessor(rho)
-    s = min(n, m)
-    if s < 0:
-        raise RateRangeError("entry indices must be nonnegative")
-    source = np.array([entry(n - k, m - k) for k in range(s, -1, -1)], dtype=complex)
-    return complex(_solve_bands(lam, rates.mu_array(n - s, s + 1),
-                                rates.mu_array(m - s, s + 1), source)[-1])
 
 
 def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,

@@ -245,7 +245,7 @@ def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
     reset_state = matrix_unit(0, 0, dim)
-    report = falsifier_report(rates, dim, reset_state, lam=lam, t=t, seed=seed)
+    report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
     p11 = reset_contraction_report(
         lambda l, x: birth_resolvent(rates, l, x), reset_state, lam)
     writer.json("nonstandard.json", {
@@ -397,7 +397,10 @@ def run(argv=None) -> int:
     try:
         config = _load_config(args.config, args.subcommand)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
         writer = _Writer(out_dir, args.subcommand, args.seed)
         with np.errstate(over="raise", invalid="raise"):
             _RUNNERS[args.subcommand](config, writer, args.seed)

@@ -77,14 +77,6 @@ class KernelGrid:
         return self.h * np.arange(self.npoints)
 
     @classmethod
-    def from_function(cls, f: Callable[[float, float], complex], X: float,
-                      h: float) -> "KernelGrid":
-        m = _grid_intervals(X, h)
-        x = h * np.arange(m + 1)
-        values = np.array([[f(xi, yj) for yj in x] for xi in x])
-        return cls(X=X, h=h, values=values)
-
-    @classmethod
     def from_profile(cls, phi: Callable[[float], complex], X: float, h: float
                      ) -> "KernelGrid":
         """Product kernel phi(x) * conj(phi(y))."""

@@ -17,12 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .birth import band_domain_element, birth_generator, birth_resolvent, \
-    conservativity_defect
+from .birth import band_domain_element, birth_generator, conservativity_defect
 from .operators import _matrix_of, as_operator, is_positive_semidefinite, \
     matrix_exponential_apply, matrix_unit, rank_one, trace_norm
 from .rates import RateSequence
-from .resolvent import resolvent_series
 
 
 @dataclass(frozen=True)
@@ -110,11 +108,10 @@ def reset_contraction_report(resolvent: Callable[[float, np.ndarray], np.ndarray
     return float(np.real(1.0 - lam * np.trace(resolvent(lam, state))))
 
 
-def falsifier_report(rates: RateSequence, dim: int,
-                     reset_state: np.ndarray = None, lam: float = 1.0,
+def falsifier_report(rates: RateSequence, dim: int, lam: float = 1.0,
                      t: float = 1.0, seed: int = 0) -> FalsifierReport:
     """Collect the three numerical ingredients of non-standardness for the
-    birth instance.
+    birth instance, with the reset state |0><0|.
 
     (i)  g_hat equals g on 100 random interior finite-rank elements;
     (ii) g_hat differs from g by exactly the reset state on the diagonal
@@ -123,9 +120,7 @@ def falsifier_report(rates: RateSequence, dim: int,
          reset semigroup preserves it.
     """
     spec = birth_generator(rates, dim)
-    if reset_state is None:
-        reset_state = matrix_unit(0, 0, dim)
-    gen_hat = TraceResetGenerator(base=spec, reset_state=reset_state)
+    gen_hat = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, dim))
 
     rng = np.random.default_rng(seed)
     interior_dev = 0.0
@@ -147,18 +142,3 @@ def falsifier_report(rates: RateSequence, dim: int,
                            reset_difference_trace_norm=reset_diff,
                            base_defect=defect,
                            reset_residual=residual)
-
-
-def birth_reset_resolvent_series(rates: RateSequence, dim: int, lam: float,
-                                 rho: np.ndarray, reset_state: np.ndarray,
-                                 tol: float = 1e-10):
-    """Resolvent series of the reset generator, built on the closed-form
-    birth resolvent as the unperturbed part."""
-    spec = birth_generator(rates, dim)
-    state = as_operator(reset_state)
-
-    def perturbation(x: np.ndarray) -> np.ndarray:
-        return -np.trace(spec(x)) * state
-
-    return resolvent_series(lambda x: birth_resolvent(rates, lam, x),
-                            perturbation, lam, rho, tol=tol)

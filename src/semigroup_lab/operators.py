@@ -173,20 +173,7 @@ def matrix_exponential_apply(
     if t == 0:
         return rho.copy()
     dim = rho.shape[0]
-    out = (matrix_exponential_operator(gen, t, dim) @ rho.ravel()).reshape(dim, dim)
-    if not np.all(np.isfinite(out.view(float))):
-        raise MatrixExponentialError("matrix exponential did not converge to finite values")
-    return out
-
-
-def matrix_exponential_operator(
-    gen: Callable[[np.ndarray], np.ndarray], t: float, dim: int
-) -> np.ndarray:
-    """Dense matrix of exp(t*gen) for re-use across many inputs, one expm per
-    block of the superoperator matrix."""
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
-    out = blockwise(t * superop_matrix(gen, dim), expm)
+    out = (blockwise(t * superop_matrix(gen, dim), expm) @ rho.ravel()).reshape(dim, dim)
     if not np.all(np.isfinite(out.view(float))):
         raise MatrixExponentialError("matrix exponential did not converge to finite values")
     return out

@@ -7,8 +7,7 @@ Grammar (numbers are decimal, optional exponent, strictly positive, finite):
     const:<c>         mu_n = c
     list:<v1>,<v2>,.. explicit rates; queries past the end are errors
 
-Parsing emits errors with a character offset; printing produces a canonical
-form that round-trips.
+Parsing emits errors with a character offset.
 """
 
 from __future__ import annotations
@@ -212,16 +211,3 @@ def parse_rate_spec(text: str) -> RateSequence:
             at += len(item) + 1
         return ExplicitRates(values=tuple(values))
     raise RateSpecError(f"unknown rate kind {head!r}", 0)
-
-
-def format_rate_spec(rates: RateSequence) -> str:
-    """Canonical text form; parse(format(r)) == r."""
-    if isinstance(rates, PolynomialRates):
-        return f"poly:{rates.c!r}:{rates.p!r}"
-    if isinstance(rates, GeometricRates):
-        return f"geom:{rates.a!r}"
-    if isinstance(rates, ConstantRates):
-        return f"const:{rates.c!r}"
-    if isinstance(rates, ExplicitRates):
-        return "list:" + ",".join(repr(v) for v in rates.values)
-    raise TypeError(f"unknown rate sequence type {type(rates)!r}")

@@ -39,29 +39,17 @@ class ResolventSeriesResult:
 def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
                      rho: np.ndarray) -> np.ndarray:
     """Solve (lambda - gen) X = rho by a dense linear solve per block of the
-    superoperator matrix."""
+    superoperator matrix; lambda is checked before the matrix is assembled."""
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     rho = as_operator(rho)
-    return direct_resolvent_factory(gen, rho.shape[0])(lam, rho)
-
-
-def direct_resolvent_factory(gen: Callable[[np.ndarray], np.ndarray], dim: int
-                             ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Reusable (lam, rho) -> resolvent solver: the superoperator matrix is
-    assembled and split into its blocks once, then each call makes one dense
-    solve per block."""
+    dim = rho.shape[0]
     m = superop_matrix(gen, dim)
-    blocks = [(b, m[np.ix_(b, b)]) for b in superop_blocks(m)]
-
-    def solve(lam: float, rho: np.ndarray) -> np.ndarray:
-        if not lam > 0:
-            raise ValueError("lambda must be positive")
-        rhs = as_operator(rho).ravel()
-        x = np.empty_like(rhs)
-        for b, mb in blocks:
-            x[b] = np.linalg.solve(lam * np.eye(b.size) - mb, rhs[b])
-        return x.reshape(dim, dim)
-
-    return solve
+    rhs = rho.ravel()
+    x = np.empty_like(rhs)
+    for b in superop_blocks(m):
+        x[b] = np.linalg.solve(lam * np.eye(b.size) - m[np.ix_(b, b)], rhs[b])
+    return x.reshape(dim, dim)
 
 
 def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
@@ -140,14 +128,3 @@ def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
     b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
     power = blockwise(b, lambda block: np.linalg.matrix_power(block, n))
     return (power @ rho.ravel()).reshape(dim, dim)
-
-
-def domain_element(resolvent: Callable[[float, np.ndarray], np.ndarray],
-                   lam: float, rho_prime: np.ndarray):
-    """Canonical generator-domain element R_lam rho' with its generator action
-    lam R_lam rho' - rho'."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    rho_prime = as_operator(rho_prime)
-    element = resolvent(lam, rho_prime)
-    return element, lam * element - rho_prime

@@ -13,7 +13,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -193,9 +193,7 @@ def event_count_estimator(samples: Sequence[TrajectorySample], lam: float,
     return _mean_se((np.exp(-lam * t[:, 0]) - np.exp(-lam * t[:, 1])) / lam)
 
 
-def shift_arrival_density(psi: Sequence[complex], h: float,
-                          t_grid: Optional[Sequence[float]] = None
-                          ) -> ShiftArrivalTable:
+def shift_arrival_density(psi: Sequence[complex], h: float) -> ShiftArrivalTable:
     """Arrival density of the half-sided shift at the origin.
 
     `psi` holds samples of the wave function on the uniform grid x_i = i*h.
@@ -207,17 +205,9 @@ def shift_arrival_density(psi: Sequence[complex], h: float,
         raise ValueError("psi must be a vector of at least two samples")
     if not h > 0:
         raise ValueError("grid spacing must be positive")
-    x = h * np.arange(psi.size)
-    profile = np.abs(psi) ** 2
-    norm_sq = float(np.trapezoid(profile, dx=h))
-    if t_grid is None:
-        times = x
-        density = profile.copy()
-    else:
-        times = np.asarray(t_grid, dtype=float)
-        if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
-            raise ValueError("arrival times must be nonnegative and increasing")
-        density = np.interp(times, x, profile, right=0.0)
+    times = h * np.arange(psi.size)
+    density = np.abs(psi) ** 2
+    norm_sq = float(np.trapezoid(density, dx=h))
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(times))]
     )

@@ -8,6 +8,7 @@ import numpy as np
 
 from semigroup_lab import (
     TrajectoryStreams,
+    am_gm_gap,
     apply_jump,
     apply_standard,
     arrival_laplace,
@@ -26,8 +27,10 @@ from semigroup_lab import (
     gauge_transform,
     geometric_band_decay,
     is_positive_semidefinite,
+    leading_column_report,
     matrix_exponential_apply,
     matrix_unit,
+    moderate_growth_report,
     n_event_laplace_term,
     no_event_resolvent,
     resolvent_direct,
@@ -274,4 +277,32 @@ def test_criterion_10_event_count_decomposition():
     partial = sum(n_event_laplace_term(GEO, 1.0, k, rho) for k in range(45))
     c.check(f"partial sums reach resolvent trace within 1e-8 "
             f"(gap {abs(partial - target):.1e})", abs(partial - target) <= 1e-8)
+    c.finish()
+
+
+def test_criterion_11_moderate_growth():
+    c = _Criterion(11, "moderate growth and the AM/GM gap of the rates", 5.0)
+    poly = moderate_growth_report(POLY, 3, 2000)
+    c.check(f"mu=(n+1)^2 is moderate (uniform c = {poly.uniform_c:.3f}), no witness",
+            poly.moderate and poly.witness is None)
+    geo = moderate_growth_report(GEO, 2, 1000)
+    c.check(f"mu=2^n is not moderate, witness (q, n) = {geo.witness}",
+            not geo.moderate and geo.witness is not None)
+    # n |1 - mu_{n+q}/mu_n| <= c_q bounds the gap by (c_q / n)^2
+    worst = max(am_gm_gap(POLY.mu(n), POLY.mu(n + q)) * (n / c_q) ** 2
+                for q, c_q in poly.c_of_q.items() for n in range(1, 2001))
+    c.check(f"am_gm_gap(mu_n, mu_(n+q)) <= (c_q/n)^2 for q <= 3, n <= 2000 "
+            f"(worst ratio {worst:.3f})", worst <= 1.0)
+    c.finish()
+
+
+def test_criterion_12_no_new_pure_states():
+    c = _Criterion(12, "leading resolvent column: no new pure states", 5.0)
+    rng = np.random.default_rng(112)
+    random = leading_column_report(POLY, 1.0, random_operator(20, rng))
+    c.check(f"random rho: column {random.column}, deviation "
+            f"{random.max_deviation:.1e} <= 1e-12", random.max_deviation <= 1e-12)
+    unit = leading_column_report(POLY, 1.0, matrix_unit(4, 4, 10))
+    c.check(f"|4><4|: column {unit.column}, deviation {unit.max_deviation:.1e} <= 1e-12",
+            unit.column == 4 and unit.max_deviation <= 1e-12)
     c.finish()

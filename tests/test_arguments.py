@@ -12,13 +12,12 @@ from semigroup_lab import (
     arrival_partial_product,
     birth_generator,
     birth_resolvent,
-    birth_resolvent_entry,
     conservativity_defect,
     conservativity_residual,
-    domain_element,
     empirical_laplace,
     euler_semigroup,
     event_count_estimator,
+    geometric_band_decay,
     is_positive_semidefinite,
     matrix_exponential_apply,
     matrix_unit,
@@ -51,19 +50,19 @@ def identity_resolvent(lam, x):
     lambda: arrival_laplace(GEO, 1.0, tail_tol=NAN),
     lambda: arrival_partial_product(GEO, NAN, 0, 10),
     lambda: birth_resolvent(GEO, NAN, RHO),
-    lambda: birth_resolvent_entry(GEO, NAN, RHO, 1, 1),
+    lambda: geometric_band_decay(GEO, 1, NAN, RHO, [1]),
     lambda: no_event_resolvent(GEO, NAN, RHO),
     lambda: conservativity_defect(GEO, NAN, RHO),
     lambda: empirical_laplace(SAMPLES, NAN, GEO),
     lambda: event_count_estimator(SAMPLES, NAN, 1),
     lambda: n_event_laplace_term(GEO, NAN, 1, RHO),
     lambda: shift_arrival_density(np.ones(5), NAN),
-    lambda: shift_arrival_density(np.ones(5), 0.5, [0.0, NAN]),
+    lambda: sample_trajectories(GEO, 0, NAN, 60, TrajectoryStreams(1), 1),
     lambda: resolvent_direct(SPEC, NAN, RHO),
     lambda: resolvent_series(lambda x: x, lambda x: 0 * x, NAN, RHO),
     lambda: resolvent_series(lambda x: x, lambda x: 0 * x, 1.0, RHO, tol=NAN),
     lambda: euler_semigroup(identity_resolvent, NAN, 4, RHO),
-    lambda: domain_element(identity_resolvent, NAN, RHO),
+    lambda: KernelGrid(X=NAN, h=0.5, values=np.zeros((9, 9))),
     lambda: matrix_exponential_apply(SPEC, NAN, RHO),
     lambda: is_positive_semidefinite(RHO, tol=NAN),
     lambda: conservativity_residual(SPEC, RHO, NAN),

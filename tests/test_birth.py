@@ -15,10 +15,7 @@ from semigroup_lab import (
     band_entry,
     band_functional,
     birth_generator,
-    birth_generator_apply,
     birth_resolvent,
-    birth_resolvent_entry,
-    classical_birth_apply,
     conservativity_defect,
     geometric_band_decay,
     leading_column_report,
@@ -106,14 +103,21 @@ class TestBirthGenerator:
         p = rng.random(dim)
         rho = np.diag(p).astype(complex)
         quantum = np.diagonal(apply_standard(spec, rho)).real
-        classical = classical_birth_apply(POLY, p)
+        mu = POLY.mu_array(0, dim)
+        classical = -mu * p
+        classical[1:] += mu[:-1] * p[:-1]
         assert np.allclose(quantum, classical, atol=1e-13)
 
     def test_sharp_extension_matches_truncated_generator(self, rng):
+        # the entrywise formula of the birth generator, valid for arbitrary
+        # matrices, against the GKLS route on the truncation
         spec = birth_generator(POLY, 9)
         a = random_operator(9, rng)
-        assert np.allclose(birth_generator_apply(POLY, a),
-                           apply_standard(spec, a), atol=1e-12)
+        mu = POLY.mu_array(0, 9)
+        root = np.sqrt(mu[:-1])
+        entrywise = -0.5 * (mu[:, None] + mu[None, :]) * a
+        entrywise[1:, 1:] += np.outer(root, root) * a[:-1, :-1]
+        assert np.allclose(entrywise, apply_standard(spec, a), atol=1e-12)
 
     def test_minimal_dim(self):
         with pytest.raises(ValueError):
@@ -121,19 +125,26 @@ class TestBirthGenerator:
 
 
 class TestClassicalBirth:
+    # the classical birth chain is the diagonal of the quantum generator on
+    # diagonal states; the top level loses its outflow
+    @staticmethod
+    def classical(p):
+        p = np.asarray(p, dtype=float)
+        return np.diagonal(birth_generator(POLY, p.size)(np.diag(p))).real
+
     def test_delta_zero(self):
-        out = classical_birth_apply(POLY, [1.0, 0.0, 0.0, 0.0])
+        out = self.classical([1.0, 0.0, 0.0, 0.0])
         assert np.allclose(out, [-POLY.mu(0), POLY.mu(0), 0.0, 0.0])
 
     def test_telescoping_total(self, rng):
         p = rng.random(6)
-        out = classical_birth_apply(POLY, p)
+        out = self.classical(p)
         assert out.sum() == pytest.approx(-POLY.mu(5) * p[5], rel=1e-12)
         p[-1] = 0.0
-        assert classical_birth_apply(POLY, p).sum() == pytest.approx(0.0, abs=1e-13)
+        assert self.classical(p).sum() == pytest.approx(0.0, abs=1e-13)
 
     def test_zero_input(self):
-        assert np.array_equal(classical_birth_apply(POLY, np.zeros(4)), np.zeros(4))
+        assert np.array_equal(self.classical(np.zeros(4)), np.zeros(4))
 
 
 class TestClosedFormResolvent:
@@ -168,12 +179,16 @@ class TestClosedFormResolvent:
         assert all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(values, values[1:]))
 
     def test_entry_accessor_matches_matrix(self, rng):
-        dim = 12
+        # the band route reads rho through a lazy (n, m) accessor; its band
+        # values must be those of the full closed-form matrix
+        dim, q = 12, 1
         rho = random_operator(dim, rng)
-        full = birth_resolvent(POLY, 1.0, rho)
-        for n, m in [(0, 0), (5, 7), (11, 11), (11, 3)]:
-            entry = birth_resolvent_entry(POLY, 1.0, rho, n, m)
-            assert entry == pytest.approx(complex(full[n, m]), rel=1e-12, abs=1e-14)
+        full = birth_resolvent(GEO, 1.0, rho)
+        n_values = [0, 5, 10]
+        table = geometric_band_decay(GEO, q, 1.0, lambda n, m: rho[n, m], n_values)
+        expected = [abs(0.5 * (GEO.mu(n) + GEO.mu(n + q)) * full[n, n + q])
+                    for n in n_values]
+        assert np.allclose(table.f_values, expected, rtol=1e-12, atol=0)
 
     def test_sharp_identity_on_resolvent_range(self, rng):
         # G(R rho') = lam R rho' - rho' entrywise on interior indices
@@ -181,7 +196,7 @@ class TestClosedFormResolvent:
         rho_prime = random_operator(dim, rng, interior=True)
         lam = 2.0
         element = birth_resolvent(POLY, lam, rho_prime)
-        action = birth_generator_apply(POLY, element)
+        action = birth_generator(POLY, dim)(element)
         expected = lam * element - rho_prime
         assert np.abs((action - expected)[:dim - 1, :dim - 1]).max() <= 1e-10
 
@@ -196,7 +211,7 @@ class TestClosedFormResolvent:
         # feeding that source through the resolvent must reproduce it
         dim, lam, q = 25, 1.0, 1
         sigma = band_domain_element(POLY, q, dim)
-        source = lam * sigma - birth_generator_apply(POLY, sigma)
+        source = lam * sigma - birth_generator(POLY, dim)(sigma)
         recovered = birth_resolvent(POLY, lam, source)
         assert np.abs((recovered - sigma)[:dim - 1, :dim - 1]).max() <= 1e-12
 
@@ -378,7 +393,7 @@ class TestBandFunctionals:
         rho_prime[:, -1] = 0.0
         element = birth_resolvent(POLY, lam, rho_prime)
         est, _ = band_functional(POLY, element, 0, dim - 2)
-        loss = -np.trace(birth_generator_apply(POLY, element)[:dim - 1, :dim - 1]).real
+        loss = -np.trace(birth_generator(POLY, dim)(element)[:dim - 1, :dim - 1]).real
         assert abs(est.real - loss) <= 1e-8 * max(1.0, abs(loss))
 
     def test_band_trace_grows_to_explosion_time(self):
@@ -459,13 +474,8 @@ class TestGeometricBandDecay:
 
     def test_flux_vanishes_on_geometric_domain_elements(self):
         # with exponentially growing rates every resolvent image has
-        # vanishing band flux, probed here lazily far beyond any truncation
-        def source(n, m):
-            return 1.0 if (n, m) == (0, 1) else 0.0
-
-        def element(n, m):
-            return birth_resolvent_entry(GEO, 1.0, source, n, m)
-
+        # vanishing band flux, probed far out on a truncation that holds it
+        element = birth_resolvent(GEO, 1.0, matrix_unit(0, 1, 602))
         est, converged = band_functional(GEO, element, 1, 600)
         assert abs(est) <= 1e-12 and converged
 

@@ -208,6 +208,17 @@ class TestConfigValidation:
         code = run(["birth", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept\n")
+        config = write_config(tmp_path, BIRTH)
+        before = sorted(tmp_path.iterdir())
+        code = run(["birth", "--config", config, "--out", str(tmp_path / out)])
+        assert_clean_exit(capsys, code, 2,
+                          "config error: cannot create output directory")
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_json_list_config_exits_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "birth", [BIRTH])
         assert_clean_exit(capsys, code, 2, "config error: config must be a JSON object")

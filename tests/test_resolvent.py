@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semigroup_lab.resolvent
 from semigroup_lab import (
     SeriesDivergenceError,
     apply_jump,
@@ -8,11 +9,10 @@ from semigroup_lab import (
     birth_generator,
     birth_resolvent,
     choi_matrix,
-    direct_resolvent_factory,
-    domain_element,
     euler_semigroup,
     is_positive_semidefinite,
     matrix_exponential_apply,
+    matrix_unit,
     no_event_resolvent,
     resolvent_direct,
     resolvent_series,
@@ -51,12 +51,16 @@ class TestResolventDirect:
         with pytest.raises(ValueError):
             resolvent_direct(lambda x: x, 0.0, random_operator(3, rng))
 
-    def test_factory_matches_direct(self, rng):
-        spec = birth_generator(RATES, 5)
-        solve = direct_resolvent_factory(spec, 5)
-        rho = random_operator(5, rng)
-        assert np.allclose(solve(1.5, rho), resolvent_direct(spec, 1.5, rho),
-                           atol=1e-12)
+    @pytest.mark.parametrize("lam", [np.nan, 0.0])
+    def test_lambda_checked_before_assembly(self, monkeypatch, lam):
+        # the superoperator matrix takes 16 N**4 bytes; a bad lambda must be
+        # refused before any of it is built
+        def refuse(*args):
+            pytest.fail("the superoperator matrix was assembled")
+
+        monkeypatch.setattr(semigroup_lab.resolvent, "superop_matrix", refuse)
+        with pytest.raises(ValueError, match="lambda"):
+            resolvent_direct(birth_generator(RATES, 40), lam, matrix_unit(0, 0, 40))
 
 
 class TestResolventSeries:
@@ -159,26 +163,17 @@ class TestBlockwiseSolves:
         rho = random_operator(5, rng)
         full = lambda lam: np.linalg.solve(
             lam * np.eye(25) - superop_matrix(gen, 5), rho.ravel()).reshape(5, 5)
-        solve = direct_resolvent_factory(gen, 5)
         for lam in (0.5, 2.0):
             ref = full(lam)
-            for out in (resolvent_direct(gen, lam, rho), solve(lam, rho)):
-                assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
-    def test_one_shot_solve_is_the_factory_solve(self, rng, name):
-        gen, _ = block_maps(5, rng)[name]
-        rho = random_operator(5, rng)
-        solve = direct_resolvent_factory(gen, 5)
-        for lam in (0.5, 2.0):
-            assert np.array_equal(resolvent_direct(gen, lam, rho), solve(lam, rho))
+            out = resolvent_direct(gen, lam, rho)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
     def test_euler_power_matches_full_matrix_power(self, rng, name):
         dim, n, t = 3, 16, 0.4
         gen, _ = block_maps(dim, rng)[name]
         rho = random_operator(dim, rng)
-        resolvent = direct_resolvent_factory(gen, dim)
+        resolvent = lambda lam, x: resolvent_direct(gen, lam, x)
         lam = n / t
         b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
         ref = (np.linalg.matrix_power(b, n) @ rho.ravel()).reshape(dim, dim)
@@ -204,7 +199,7 @@ class TestEulerFormula:
     def test_small_t_continuity(self, rng):
         spec = birth_generator(RATES, 5)
         rho = random_psd(5, rng)
-        resolvent = direct_resolvent_factory(spec, 5)
+        resolvent = lambda lam, x: resolvent_direct(spec, lam, x)
         devs = [trace_norm(euler_semigroup(resolvent, t, 8, rho) - rho)
                 for t in (0.1, 0.01, 0.001)]
         assert all(b < a for a, b in zip(devs, devs[1:]))
@@ -218,17 +213,13 @@ class TestEulerFormula:
 
 
 class TestDomainElement:
-    def test_zero_input(self):
-        element, action = domain_element(lambda lam, x: x / lam, 1.0,
-                                         np.zeros((3, 3)))
-        assert np.array_equal(element, np.zeros((3, 3)))
-        assert np.array_equal(action, np.zeros((3, 3)))
-
+    # R_lam rho' lies in the generator domain, with G(R_lam rho') =
+    # lam R_lam rho' - rho'
     def test_generator_action_identity(self, rng):
         spec = birth_generator(RATES, 8)
         rho_prime = random_operator(8, rng, interior=True)
-        element, action = domain_element(
-            lambda lam, x: birth_resolvent(RATES, lam, x), 2.0, rho_prime)
+        element = birth_resolvent(RATES, 2.0, rho_prime)
+        action = 2.0 * element - rho_prime
         assert trace_norm(apply_standard(spec, element) - action) <= 1e-10
 
     def test_series_route_consistent(self, rng):
@@ -240,5 +231,6 @@ class TestDomainElement:
                                     lambda y: apply_jump(spec, y), lam, x,
                                     tol=1e-12).value
 
-        element, action = domain_element(series_resolvent, 1.0, rho_prime)
+        element = series_resolvent(1.0, rho_prime)
+        action = element - rho_prime
         assert trace_norm(apply_standard(spec, element) - action) <= 1e-8

@@ -345,12 +345,3 @@ class TestShiftArrival:
         psi = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         table = shift_arrival_density(psi, 0.01)
         assert np.all(table.cumulative <= table.norm_sq + 1e-12)
-
-    def test_custom_time_grid(self):
-        h = 0.01
-        x = h * np.arange(201)
-        psi = np.exp(-((x - 1.0) ** 2) * 8.0)
-        t = np.linspace(0.0, 1.5, 76)
-        table = shift_arrival_density(psi, h, t_grid=t)
-        assert table.times.shape == t.shape
-        assert np.allclose(table.density, np.interp(t, x, np.abs(psi) ** 2))
