@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .birth import arrival_laplace, arrival_partial_product, birth_generator, \
     birth_resolvent, no_event_resolvent
-from .diffusion import KernelGrid, QuadratureError, apply_resolvent, \
-    apply_semigroup, diagonal_slope, kernel_trace, trace_loss
+from .diffusion import KernelGrid, QuadratureError, _grid_intervals, \
+    apply_resolvent, apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
 from .nonstandard import falsifier_report, reset_contraction_report
 from .operators import MatrixExponentialError, NonFiniteError, matrix_unit, \
@@ -63,6 +63,8 @@ _LAMBDAS = ("finite number or list of finite numbers",
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+# a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
+_LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # birth holds a few float64 arrays of N rates, about 32 bytes per level
 _DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 2 GiB",
               lambda v: 2 <= v <= 2 ** 26)
@@ -81,7 +83,7 @@ SCHEMAS = {
                    "samples": (_INT, True, _AT_LEAST_1),
                    "horizon": (_NUMBER, True, _POSITIVE),
                    "max_jumps": (_INT, True, _AT_LEAST_1),
-                   "n_start": (_INT, False, _NONNEGATIVE)},
+                   "n_start": (_INT, False, _LEVEL)},
     "nonstandard": {"rates": (_STR, True, None), "N": (_INT, True, _DENSE_DIMENSION),
                     "lambda": (_NUMBER, True, _POSITIVE),
                     "t": (_NUMBER, True, _NONNEGATIVE)},
@@ -274,12 +276,17 @@ _SHIFT_POINTS = 2 ** 22
 
 
 def _grid(X: float, h: float, max_points: int) -> np.ndarray:
-    """The points k * h for k up to round(X / h), refused before rounding
-    unless there are at most max_points of them."""
+    """The points k * h for k up to X / h, refused before rounding unless
+    there are at most max_points of them, and then unless X is an exact
+    multiple of h."""
     if not X / h <= max_points - 1:  # also an overflow to inf
         raise ConfigError(f"X / h = {X / h:g} must be at most {max_points - 1}, "
                           f"for a grid of at most {max_points} points")
-    return h * np.arange(round(X / h) + 1)
+    try:
+        m = _grid_intervals(X, h)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from None
+    return h * np.arange(m + 1)
 
 
 def _gaussian(spec_text: str, fields, x: np.ndarray) -> np.ndarray:
@@ -298,10 +305,7 @@ def _build_kernel(spec_text: str, X: float, h: float, x: np.ndarray) -> KernelGr
         p = _gaussian(spec_text, parts[1:], x)
         if not p.any():
             raise ConfigError(f"kernel {spec_text!r} is zero at every grid point")
-        try:
-            return KernelGrid(X, h, np.outer(p, p))
-        except ValueError as exc:
-            raise ConfigError(f"bad kernel grid: {exc}") from None
+        return KernelGrid(X, h, np.outer(p, p))
     if parts[0] == "csv" and len(parts) >= 2:
         try:
             kernel = KernelGrid.from_csv(":".join(parts[1:]))

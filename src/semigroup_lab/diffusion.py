@@ -143,12 +143,14 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _apply_image_kernel(kernel: KernelGrid, profile: np.ndarray) -> KernelGrid:
-    """Contract the image-kernel matrix profile[m, k] against the offset
-    diagonals of the kernel; profile rows vanish identically at m = 0, which
-    pins the absorbing boundary."""
-    w = _trapezoid_weights(kernel.npoints, kernel.h)
-    weighted = profile * w[None, :]
+def _apply_image_kernel(kernel: KernelGrid, f: Callable[[np.ndarray], np.ndarray],
+                        scale: float) -> KernelGrid:
+    """Contract the image-kernel matrix (f(|m - xi|) - f(m + xi)) / scale
+    against the offset diagonals of the kernel; its rows vanish identically
+    at m = 0, which pins the absorbing boundary."""
+    x = kernel.x
+    profile = (f(np.abs(np.subtract.outer(x, x))) - f(np.add.outer(x, x))) / scale
+    weighted = profile * _trapezoid_weights(kernel.npoints, kernel.h)[None, :]
     low, up = to_bands(kernel.values)
     return KernelGrid(X=kernel.X, h=kernel.h,
                       values=from_bands(weighted @ low, weighted @ up))
@@ -175,12 +177,8 @@ def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
             f"tail control violated: X = {kernel.X:g} < support extent "
             f"{extent:g} + 8 sqrt(t) = {needed:g}"
         )
-    x = kernel.x
-    diff = np.subtract.outer(x, x)
-    summ = np.add.outer(x, x)
-    profile = (np.exp(-diff ** 2 / (4.0 * t)) - np.exp(-summ ** 2 / (4.0 * t))) \
-        / (2.0 * math.sqrt(math.pi * t))
-    return _apply_image_kernel(kernel, profile)
+    return _apply_image_kernel(kernel, lambda d: np.exp(-d ** 2 / (4.0 * t)),
+                               2.0 * math.sqrt(math.pi * t))
 
 
 def apply_resolvent(kernel: KernelGrid, lam: float) -> KernelGrid:
@@ -193,12 +191,8 @@ def apply_resolvent(kernel: KernelGrid, lam: float) -> KernelGrid:
             f"resolvent length scale 1/sqrt(lambda) unresolved by spacing "
             f"h = {kernel.h:g}"
         )
-    x = kernel.x
     root = math.sqrt(lam)
-    diff = np.abs(np.subtract.outer(x, x))
-    summ = np.add.outer(x, x)
-    profile = (np.exp(-root * diff) - np.exp(-root * summ)) / (2.0 * root)
-    return _apply_image_kernel(kernel, profile)
+    return _apply_image_kernel(kernel, lambda d: np.exp(-root * d), 2.0 * root)
 
 
 def kernel_trace(kernel: KernelGrid) -> float:

@@ -15,6 +15,8 @@ is the reference route for the structured one.
 Matrix functions of that matrix (exponential, inverse, powers) act on each
 weakly connected component of its nonzero pattern alone (`superop_blocks`);
 the birth and reset generators split into 2*dim - 1 offset-diagonal blocks.
+The dense oracles apply f(m) to a vector block by block, f(m[b, b]) @ v[b]:
+next to m (16 dim^4 bytes) they hold only arrays of one block's size.
 """
 
 from __future__ import annotations
@@ -134,17 +136,14 @@ def superop_blocks(m: np.ndarray) -> list:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def blockwise(m: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """fn(m) for a matrix function fn (exponential, powers) that maps a block
-    diagonal matrix to the block diagonal of its blockwise images, evaluated
-    on each block of superop_blocks(m)."""
-    blocks = superop_blocks(m)
-    if len(blocks) == 1:
-        return fn(m)
-    out = np.zeros_like(m)
-    for b in blocks:
-        ix = np.ix_(b, b)
-        out[ix] = fn(m[ix])
+def _blockwise_apply(m: np.ndarray, v: np.ndarray,
+                     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(m) @ v for a matrix function f (exponential, inverse, power) given as
+    fn(block, x) = f(block) @ x, evaluated on each block b of
+    superop_blocks(m) as fn(m[b, b], v[b])."""
+    out = np.empty_like(v)
+    for b in superop_blocks(m):
+        out[b] = fn(m[np.ix_(b, b)], v[b])
     return out
 
 
@@ -173,7 +172,8 @@ def matrix_exponential_apply(
     if t == 0:
         return rho.copy()
     dim = rho.shape[0]
-    out = (blockwise(t * superop_matrix(gen, dim), expm) @ rho.ravel()).reshape(dim, dim)
+    out = _blockwise_apply(superop_matrix(gen, dim), rho.ravel(),
+                           lambda a, x: expm(t * a) @ x).reshape(dim, dim)
     if not np.all(np.isfinite(out.view(float))):
         raise MatrixExponentialError("matrix exponential did not converge to finite values")
     return out

@@ -3,7 +3,9 @@ Euler reconstruction of the semigroup from its resolvent.
 
 The direct resolvent solves (lambda - G) X = rho on the dim^2 x dim^2 matrix
 of the superoperator, one dense solve per block of its nonzero pattern
-(`superop_blocks`).  The series builds the perturbed resolvent
+(`superop_blocks`); the Euler reconstruction takes the n-th power of each
+block of lambda R_lambda the same way.  The series builds the perturbed
+resolvent
 
     R_lambda = sum_n R0 (P R0)^n
 
@@ -19,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import as_operator, blockwise, is_positive_semidefinite, \
-    is_selfadjoint, superop_blocks, superop_matrix, trace_norm
+from .operators import _blockwise_apply, as_operator, is_positive_semidefinite, \
+    is_selfadjoint, superop_matrix, trace_norm
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -44,11 +46,8 @@ def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
         raise ValueError("lambda must be positive")
     rho = as_operator(rho)
     dim = rho.shape[0]
-    m = superop_matrix(gen, dim)
-    rhs = rho.ravel()
-    x = np.empty_like(rhs)
-    for b in superop_blocks(m):
-        x[b] = np.linalg.solve(lam * np.eye(b.size) - m[np.ix_(b, b)], rhs[b])
+    x = _blockwise_apply(superop_matrix(gen, dim), rho.ravel(),
+                         lambda a, v: np.linalg.solve(lam * np.eye(v.size) - a, v))
     return x.reshape(dim, dim)
 
 
@@ -125,6 +124,7 @@ def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
     rho = as_operator(rho)
     lam = n / t
     dim = rho.shape[0]
-    b = lam * superop_matrix(lambda x: resolvent(lam, x), dim)
-    power = blockwise(b, lambda block: np.linalg.matrix_power(block, n))
-    return (power @ rho.ravel()).reshape(dim, dim)
+    m = superop_matrix(lambda x: resolvent(lam, x), dim)
+    out = _blockwise_apply(m, rho.ravel(),
+                           lambda a, v: np.linalg.matrix_power(lam * a, n) @ v)
+    return out.reshape(dim, dim)

@@ -282,10 +282,25 @@ class TestConfigRanges:
         ("diffusion", DIFFUSION, {"h": 0}),
         ("diffusion", DIFFUSION, {"t": 0}),
         ("shift-demo", SHIFT, {"X": -8}),
+        ("trajectory", TRAJECTORY, {"n_start": 2 ** 62}),
+        ("trajectory", TRAJECTORY, {"n_start": 10 ** 20}),
     ])
     def test_out_of_range_exits_2(self, tmp_path, capsys, subcommand, base, change):
         code, out = run_cli(tmp_path, subcommand, {**base, **change})
         assert_clean_exit(capsys, code, 2, f"config error: {next(iter(change))} must be")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_trajectory_start_admits_2_62_minus_1(self, tmp_path):
+        path = write_config(tmp_path, {**TRAJECTORY, "n_start": 2 ** 62 - 1})
+        assert _load_config(path, "trajectory")["n_start"] == 2 ** 62 - 1
+
+    @pytest.mark.parametrize("subcommand, base", [("shift-demo", SHIFT),
+                                                  ("diffusion", DIFFUSION)])
+    @pytest.mark.parametrize("X", [1.0, 1.05])
+    def test_x_not_a_multiple_of_h_exits_2(self, tmp_path, capsys, subcommand, base, X):
+        code, out = run_cli(tmp_path, subcommand, {**base, "X": X, "h": 0.3})
+        assert_clean_exit(capsys, code, 2,
+                          "config error: bad grid: X must be an exact multiple of h")
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN", "Infinity"])

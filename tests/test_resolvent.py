@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,31 @@ class TestBlockwiseSolves:
         ref = (np.linalg.matrix_power(b, n) @ rho.ravel()).reshape(dim, dim)
         out = euler_semigroup(resolvent, t, n, rho)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestDenseOracleMemory:
+    """The CLI's N <= 107 budget assumes one complex (N, N, N, N) superoperator
+    of 16 N**4 bytes; each dense oracle may hold little beyond it."""
+
+    @pytest.mark.parametrize("name", ["expm", "solve", "euler"])
+    def test_peak_is_one_superoperator(self, rng, name):
+        dim = 20
+        maps = block_maps(dim, rng)
+        rho = random_psd(dim, rng)
+        oracle = {
+            "expm": lambda: matrix_exponential_apply(maps["reset"][0], 1.0, rho),
+            "solve": lambda: resolvent_direct(maps["birth"][0], 1.0, rho),
+            "euler": lambda: euler_semigroup(
+                lambda lam, x: birth_resolvent(RATES, lam, x), 1.0, 16, rho),
+        }[name]
+        oracle()  # lazy imports are not the oracle's memory
+        tracemalloc.start()
+        try:
+            oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * dim ** 4
 
 
 class TestEulerFormula:
