@@ -35,6 +35,7 @@ EntryAccessor = Union[np.ndarray, Callable[[int, int], complex]]
 
 # factors per block of the arrival product; bounds its temporaries to 512 kB
 _PRODUCT_BLOCK = 2 ** 16
+_MAX_FACTORS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,7 @@ def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
 
 
 def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
-                    tail_tol: float = 1e-12, max_factors: int = 10 ** 7
-                    ) -> ArrivalBracket:
+                    tail_tol: float = 1e-12) -> ArrivalBracket:
     """Laplace transform of the arrival-at-infinity density, as the infinite
     product prod_{j >= n_start} 1/(1 + lambda/mu_j).
 
@@ -175,7 +175,7 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     multiplied until either the bound sum_{j>=J} lambda/mu_j on the remaining
     tail certifies a bracket narrower than tail_tol, or the partial product
     itself drops to tail_tol; RuntimeError when neither happens
-    within max_factors factors.  Explicit lists are never extrapolated: the
+    within _MAX_FACTORS factors.  Explicit lists are never extrapolated: the
     product over the listed range is returned with a flag, and it is an
     error when the list runs out while the tail is not provably negligible.
     """
@@ -201,9 +201,9 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     if math.isinf(rates.inverse_tail(n_start)):
         return ArrivalBracket(value=0.0, lower=0.0, upper=0.0, n_factors=0)
     # the tail bound is non-increasing: bisect for the first certified count
-    first = 1 + bisect.bisect_left(range(1, max_factors + 1), True, key=lambda k:
+    first = 1 + bisect.bisect_left(range(1, _MAX_FACTORS + 1), True, key=lambda k:
                                    lam * rates.inverse_tail(n_start + k) < tail_tol)
-    last = min(first, max_factors)
+    last = min(first, _MAX_FACTORS)
     product = 1.0
     for done in range(0, last, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):  # a rate that overflows is a factor of 1
@@ -215,8 +215,8 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
             return ArrivalBracket(value=product, lower=0.0, upper=product,
                                   n_factors=done + int(small[0]) + 1)
         product = float(partial[-1])
-    if first > max_factors:
-        raise RuntimeError(f"no certified bracket after {max_factors} factors")
+    if first > _MAX_FACTORS:
+        raise RuntimeError(f"no certified bracket after {_MAX_FACTORS} factors")
     # 1/(1+x) >= exp(-x) for x >= 0, so the neglected tail of the product
     # lies in [exp(-tail), 1]
     lower = product * math.exp(-lam * rates.inverse_tail(n_start + last))

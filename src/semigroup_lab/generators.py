@@ -51,27 +51,21 @@ class StandardGeneratorSpec:
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply_standard(self, rho)
 
-    def superop_matrix(self, dim: int) -> np.ndarray:
-        """Row-major matrix K(x)I + I(x)conj(K) + sum_a L_a(x)conj(L_a), built
-        without calling the generator (Havel 2003, J. Math. Phys. 44, 534).
-
-        Entry [a, b, i, j] of the (dim, dim, dim, dim) array is the
-        coefficient of rho[i, j] in G(rho)[a, b].  Each nonzero L_a[a, i]
-        adds L_a[a, i] * conj(L_a) to the slice [a, :, i, :], so no dim^4
-        temporary is allocated and a sparse L_a costs only its nonzeros.
+    def superop_matrix(self, dim: int):
+        """Row-major matrix K(x)I + I(x)conj(K) + sum_a L_a(x)conj(L_a) as a
+        sparse CSR array, built without calling the generator (Havel 2003,
+        J. Math. Phys. 44, 534): entry (a*dim + b, i*dim + j) is the
+        coefficient of rho[i, j] in G(rho)[a, b].
         """
+        from scipy.sparse import csr_array, identity, kron
+
         if dim != self.dim:
             raise ValueError(f"operator dim {dim} does not match spec dim {self.dim}")
-        m = np.zeros((dim, dim, dim, dim), dtype=complex)
-        k_bar = self.K.conj()
-        for r in range(dim):
-            m[:, r, :, r] += self.K
-            m[r, :, r, :] += k_bar
+        eye = identity(dim, dtype=complex)
+        m = kron(self.K, eye) + kron(eye, self.K.conj())
         for l in self.jumps:
-            l_bar = l.conj()
-            for a, i in zip(*np.nonzero(l)):
-                m[a, :, i, :] += l[a, i] * l_bar
-        return m.reshape(dim * dim, dim * dim)
+            m = m + kron(l, l.conj())
+        return csr_array(m)
 
 
 def _check_dim(spec: StandardGeneratorSpec, rho: np.ndarray) -> np.ndarray:

@@ -45,22 +45,20 @@ class TraceResetGenerator:
         out = self.base(rho)
         return out - np.trace(out) * self.reset_state
 
-    def superop_matrix(self, dim: int) -> np.ndarray:
-        """Matrix of the base map minus vec(rho_hat) times its trace row.
+    def superop_matrix(self, dim: int):
+        """Sparse matrix of the base map minus vec(rho_hat) times its trace row.
 
         The trace row, the sum of the rows a*(dim+1) of the base matrix, maps
-        vec(rho) to tr g(rho); it is subtracted, scaled, from each row where
-        vec(rho_hat) is nonzero.  The base matrix comes from the base's own
+        vec(rho) to tr g(rho).  The base matrix comes from the base's own
         method when it has one, else from the column loop.
         """
+        from scipy.sparse import csr_array
+
         if dim != self.reset_state.shape[0]:
             raise ValueError("operator dimension does not match the reset state")
         m = _matrix_of(self.base, dim)
-        trace_row = m[::dim + 1].sum(axis=0)
-        state = self.reset_state.ravel()
-        for row in np.flatnonzero(state):
-            m[row] -= state[row] * trace_row
-        return m
+        trace_row = csr_array(m[::dim + 1].sum(axis=0).reshape(1, -1))
+        return m - csr_array(self.reset_state.reshape(-1, 1)) @ trace_row
 
 
 @dataclass(frozen=True)

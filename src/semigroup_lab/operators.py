@@ -4,19 +4,20 @@ Operators on the first N basis levels are plain complex ndarrays of shape
 (N, N), entry (n, m) = <n|rho|m>.  Everything here is a pure function; all
 heavy lifting is delegated to LAPACK via numpy/scipy.
 
-A linear map on operators has a dim^2 x dim^2 matrix (`superop_matrix`),
-assembled by one of two routes.  A map that knows its own matrix supplies it
-through a `superop_matrix(dim)` method: `StandardGeneratorSpec` (the GKLS
-closed form) and `TraceResetGenerator` (its base's matrix minus a rank-one
-trace row).  Every other callable -- resolvent maps, random test maps,
-lambdas -- is applied to each matrix unit E_ij, dim^2 calls; that column loop
-is the reference route for the structured one.
+A linear map on operators has a sparse (CSR) dim^2 x dim^2 matrix
+(`superop_matrix`), built by one of two routes.  A map that knows its own
+matrix supplies it through a `superop_matrix(dim)` method:
+`StandardGeneratorSpec` (the GKLS closed form) and `TraceResetGenerator` (its
+base's matrix minus a rank-one trace row).  Every other callable is applied
+to each matrix unit E_ij, dim^2 calls; that dense column loop is the
+reference route for the structured one.
 
 Matrix functions of that matrix (exponential, inverse, powers) act on each
 weakly connected component of its nonzero pattern alone (`superop_blocks`);
 the birth and reset generators split into 2*dim - 1 offset-diagonal blocks.
-The dense oracles apply f(m) to a vector block by block, f(m[b, b]) @ v[b]:
-next to m (16 dim^4 bytes) they hold only arrays of one block's size.
+The dense oracles apply f(m) to a vector block by block, f(m[b, b]) @ v[b],
+with only m[b, b] made dense.  scipy.sparse is imported where it is used, to
+keep it off the package's import time.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:
     return e
 
 
-def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Dense dim^2 x dim^2 matrix of a linear map.
+def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int):
+    """Sparse (CSR) dim^2 x dim^2 matrix of a linear map.
 
     Vectorization is row-major: E_ij maps to column i*dim + j.  A map with a
     `superop_matrix(dim)` method (`StandardGeneratorSpec`,
@@ -100,11 +101,13 @@ def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.
     return _matrix_of(superop, dim)
 
 
-def _matrix_of(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
+def _matrix_of(superop: Callable[[np.ndarray], np.ndarray], dim: int):
     """superop_matrix for maps whose own matrix starts from the matrix of
     another map, so that one assembly stays one superop_matrix call."""
+    from scipy.sparse import csr_array
+
     own = getattr(superop, "superop_matrix", None)
-    return own(dim) if own is not None else _column_loop(superop, dim)
+    return own(dim) if own is not None else csr_array(_column_loop(superop, dim))
 
 
 def _column_loop(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
@@ -120,7 +123,7 @@ def _column_loop(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.nd
     return m
 
 
-def superop_blocks(m: np.ndarray) -> list:
+def superop_blocks(m) -> list:
     """Index sets of the weakly connected components of the nonzero pattern
     of a square matrix, each sorted ascending.
 
@@ -136,21 +139,25 @@ def superop_blocks(m: np.ndarray) -> list:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def _blockwise_apply(m: np.ndarray, v: np.ndarray,
+def _blockwise_apply(m, v: np.ndarray,
                      fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(m) @ v for a matrix function f (exponential, inverse, power) given as
-    fn(block, x) = f(block) @ x, evaluated on each block b of
-    superop_blocks(m) as fn(m[b, b], v[b])."""
+    """f(m) @ v for a sparse m and a matrix function f (exponential, inverse,
+    power) given as fn(block, x) = f(block) @ x, evaluated on each block b of
+    superop_blocks(m) as fn(m[b, b], v[b]) with m[b, b] dense."""
+    blocks = superop_blocks(m)
+    order = np.concatenate(blocks)
+    m = m[order][:, order]  # block diagonal: each block is a contiguous slice
     out = np.empty_like(v)
-    for b in superop_blocks(m):
-        out[b] = fn(m[np.ix_(b, b)], v[b])
+    bounds = np.cumsum([0] + [b.size for b in blocks])
+    for b, start, end in zip(blocks, bounds, bounds[1:]):
+        out[b] = fn(m[start:end, start:end].toarray(), v[b])
     return out
 
 
 def choi_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Block matrix with (i, j) block superop(E_ij); PSD iff the map is CP.
     A reshuffle of superop_matrix: (a*dim + b, i*dim + j) -> (i*dim + a, j*dim + b)."""
-    m = superop_matrix(superop, dim).reshape(dim, dim, dim, dim)
+    m = superop_matrix(superop, dim).toarray().reshape(dim, dim, dim, dim)
     return m.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
 
 

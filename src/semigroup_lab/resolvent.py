@@ -24,6 +24,8 @@ import numpy as np
 from .operators import _blockwise_apply, as_operator, is_positive_semidefinite, \
     is_selfadjoint, superop_matrix, trace_norm
 
+_MAX_ITER = 10 ** 6
+
 
 class SeriesDivergenceError(RuntimeError):
     """The resolvent series increments stopped decreasing and exceed their
@@ -54,17 +56,16 @@ def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
 def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
                      perturbation: Callable[[np.ndarray], np.ndarray],
                      lam: float, rho: np.ndarray,
-                     tol: float = 1e-10, max_iter: int = 10 ** 6
-                     ) -> ResolventSeriesResult:
+                     tol: float = 1e-10) -> ResolventSeriesResult:
     """Sum the perturbed-resolvent series sum_n R0 (P R0)^n applied to rho.
 
     `r0` is the unperturbed resolvent at the given lambda and `perturbation`
     the completely positive perturbation.  For a positive input the
     normalization condition tr(P(R0 rho)) <= tr(rho) is verified up front.
     Stops when the trace-norm increment is below `tol` both absolutely and
-    relative to the accumulated value.  A growing increment that fails to
-    decrease over 100 consecutive steps raises SeriesDivergenceError instead
-    of truncating silently.
+    relative to the accumulated value, or unconverged after _MAX_ITER terms.
+    A growing increment that fails to decrease over 100 consecutive steps
+    raises SeriesDivergenceError instead of truncating silently.
     """
     if not (lam > 0 and tol > 0):
         raise ValueError("lambda and tol must be positive")
@@ -86,7 +87,7 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
     stalled = 0
     converged = False
     n = 0
-    for n in range(1, max_iter + 1):
+    for n in range(1, _MAX_ITER + 1):
         term = r0(w)
         value += term
         trajectory.append(lam * float(np.real(np.trace(value))))

@@ -165,8 +165,9 @@ class TestClosedFormResolvent:
         assert np.abs(closed - direct).max() <= 1e-10
 
     def test_matches_dense_solve_at_larger_dim(self, rng):
-        # the dense superoperator matrix alone takes 16 * 48**4 bytes (85 MB)
-        dim = 48
+        # a dense superoperator matrix would take 16 * 100**4 bytes (1.6 GB);
+        # the sparse one makes only each offset-diagonal block dense
+        dim = 100
         rho = random_operator(dim, rng)
         closed = birth_resolvent(LINEAR, 1.0, rho)
         direct = resolvent_direct(birth_generator(LINEAR, dim), 1.0, rho)
@@ -258,17 +259,19 @@ class TestArrivalProduct:
                                           tail_tol):
         # a small prime block size makes every case cross block boundaries
         monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
+        default = semigroup_lab.birth._MAX_FACTORS
         for lam in lams:
             expected = sequential_arrival(rates, lam, n_start, tail_tol)
-            assert blocked_arrival(rates, lam, n_start=n_start,
-                                   tail_tol=tail_tol) == expected
-            # the factor budget ends exactly at, or one short of, the exit
+            # the default factor budget, and one that ends exactly at, or one
+            # short of, the exit
             k = expected[-1]
-            assert blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol,
-                                   max_factors=k) == expected
+            for budget in (default, k):
+                monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", budget)
+                assert blocked_arrival(rates, lam, n_start=n_start,
+                                       tail_tol=tail_tol) == expected
+            monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
             with pytest.raises(RuntimeError, match="no certified bracket"):
-                blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol,
-                                max_factors=k - 1)
+                blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
 
     def test_grid_reaches_both_exits(self):
         assert sequential_arrival(GEO, 1.0)[1] > 0.0
@@ -284,10 +287,11 @@ class TestArrivalProduct:
             assert blocked_arrival(rates, 1.0, tail_tol=tail_tol) == \
                 sequential_arrival(rates, 1.0, tail_tol=tail_tol)
 
-    def test_uncertified_product_raises(self):
+    def test_uncertified_product_raises(self, monkeypatch):
         rates = PolynomialRates(2.0, 2.5)
+        monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", 1000)
         with pytest.raises(RuntimeError, match="after 1000 factors"):
-            arrival_laplace(rates, 1.0, max_factors=1000)
+            arrival_laplace(rates, 1.0)
         with pytest.raises(RuntimeError, match="after 1000 factors"):
             sequential_arrival(rates, 1.0, max_factors=1000)
 

@@ -339,7 +339,7 @@ class TestConfigRanges:
     @pytest.mark.parametrize("subcommand, base", [("minimal", MINIMAL),
                                                   ("nonstandard", NONSTANDARD)])
     def test_dense_oracle_budget_admits_n_107(self, tmp_path, subcommand, base):
-        # 16 * 107**4 bytes is just below 2 GiB; the config is only loaded
+        # the largest N the budget admits; the config is only loaded
         path = write_config(tmp_path, {**base, "N": 107})
         assert _load_config(path, subcommand)["N"] == 107
 
@@ -363,12 +363,19 @@ class TestConfigRanges:
         assert code == 0
         assert read_json(out / "nonstandard.json")["reset_residual"] == 0.0
 
-    @pytest.mark.parametrize("seed", ["-3", "abc"])
+    @pytest.mark.parametrize("seed", ["-3", "abc", str(2 ** 64)])
     def test_bad_seed_exits_2(self, tmp_path, capsys, seed):
         with pytest.raises(SystemExit) as exit_info:
             run(["birth", "--config", write_config(tmp_path, BIRTH),
                  "--out", str(tmp_path / "out"), "--seed", seed])
         assert_clean_exit(capsys, exit_info.value.code, 2, "usage:")
+
+    def test_largest_u64_seed_runs(self, tmp_path):
+        code, out = run_cli(tmp_path, "trajectory", {**TRAJECTORY, "max_jumps": 16},
+                            seed=2 ** 64 - 1)
+        assert code == 0
+        assert (out / "trajectory.csv").read_text().startswith(
+            f"# semigroup-lab v{__version__} subcommand=trajectory seed={2 ** 64 - 1}\n")
 
 
 class TestSpecParsing:
@@ -513,6 +520,20 @@ class TestNonFiniteOutput:
         assert_clean_exit(capsys, code, 3, "numerical failure: overflow encountered")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand, payload", [
+        ("birth", {"rates": "geom:0.5", "lambda": 1, "N": 1100}),
+        ("trajectory", {**TRAJECTORY, "rates": "geom:0.5", "n_start": 1080}),
+        ("nonstandard", {**NONSTANDARD, "rates": "geom:1e-5", "N": 80}),
+    ])
+    def test_underflowing_rates_exit_3(self, tmp_path, capsys, subcommand, payload):
+        # mu_n = 0.5**n is 0 from n = 1075 and 1e-5**n from n = 65, so
+        # lambda / mu_n or 2 / (mu_n + mu_m) divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, subcommand, payload)
+        assert_clean_exit(capsys, code, 3, "numerical failure: divide by zero")
+        assert not any(out.iterdir())
+
     def test_largest_finite_rates_run(self, tmp_path):
         # every rate up to mu_1023 = 2**1023 is finite and the defect is a
         # product of factors 1 / (1 + lambda / mu_j): no mu_j + mu_j is formed
@@ -535,7 +556,7 @@ class TestNonFiniteOutput:
 
     def test_uncertified_arrival_product_writes_nothing(self, tmp_path):
         # the give-up escapes cli.run, as the benchmark's own tests expect
-        # of poly:1:2.5; it is bounded by max_factors and writes no file
+        # of poly:1:2.5; it is bounded by _MAX_FACTORS and writes no file
         with pytest.raises(RuntimeError, match="no certified bracket after"):
             run_cli(tmp_path, "birth", {"rates": "poly:2:2.5", "lambda": [0.1, 1, 5],
                                         "N": 50, "n_start": 3})

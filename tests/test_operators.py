@@ -183,7 +183,7 @@ def dissipative_spec(dim, jumps, rng):
 
 def loop_matrix(superop, dim):
     # a plain callable has no matrix method, so this takes the column loop
-    return superop_matrix(lambda x: superop(x), dim)
+    return superop_matrix(lambda x: superop(x), dim).toarray()
 
 
 class TestStructuredSuperopMatrix:
@@ -195,21 +195,21 @@ class TestStructuredSuperopMatrix:
         spec = birth_generator(PolynomialRates(1.0, 2.0), dim)
         psi = random_vector(dim, rng)
         reset = TraceResetGenerator(base=spec, reset_state=rank_one(psi, psi))
-        assert np.array_equal(superop_matrix(spec, dim), loop_matrix(spec, dim))
-        assert np.array_equal(superop_matrix(reset, dim), loop_matrix(reset, dim))
+        assert np.array_equal(superop_matrix(spec, dim).toarray(), loop_matrix(spec, dim))
+        assert np.array_equal(superop_matrix(reset, dim).toarray(), loop_matrix(reset, dim))
 
     @pytest.mark.parametrize("jumps", [0, 1, 3])
     def test_dissipative_spec_matches_the_loop(self, rng, jumps):
         spec = dissipative_spec(5, jumps, rng)
         ref = loop_matrix(spec, 5)
-        assert np.allclose(superop_matrix(spec, 5), ref, rtol=1e-14,
+        assert np.allclose(superop_matrix(spec, 5).toarray(), ref, rtol=1e-14,
                            atol=1e-14 * np.abs(ref).max())
 
     def test_mixed_reset_on_a_generic_base_matches_the_loop(self, rng):
         spec = dissipative_spec(5, 2, rng)
         reset = TraceResetGenerator(base=lambda x: spec(x), reset_state=random_psd(5, rng))
         ref = loop_matrix(reset, 5)
-        assert np.allclose(superop_matrix(reset, 5), ref, rtol=1e-14,
+        assert np.allclose(superop_matrix(reset, 5).toarray(), ref, rtol=1e-14,
                            atol=1e-14 * np.abs(ref).max())
 
     def test_dim_mismatch_rejected(self):
@@ -225,12 +225,12 @@ class TestStructuredSuperopMatrix:
 
         spec = birth_generator(PolynomialRates(1.0, 2.0), 6)
         reset = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, 6))
-        expected = superop_matrix(reset, 6)
+        expected = superop_matrix(reset, 6).toarray()
         monkeypatch.setattr(generators, "apply_standard", refuse)
         with pytest.raises(AssertionError):
             spec(matrix_unit(0, 0, 6))
         superop_matrix(spec, 6)
-        assert np.array_equal(superop_matrix(reset, 6), expected)
+        assert np.array_equal(superop_matrix(reset, 6).toarray(), expected)
 
 
 class TestSuperopBlocks:
@@ -253,7 +253,8 @@ class TestSuperopBlocks:
     def test_blockwise_expm_matches_full_matrix(self, rng, name):
         gen, _ = block_maps(5, rng)[name]
         rho = random_operator(5, rng)
-        ref = (scipy.linalg.expm(0.7 * superop_matrix(gen, 5)) @ rho.ravel()).reshape(5, 5)
+        m = superop_matrix(gen, 5).toarray()
+        ref = (scipy.linalg.expm(0.7 * m) @ rho.ravel()).reshape(5, 5)
         out = matrix_exponential_apply(gen, 0.7, rho)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
