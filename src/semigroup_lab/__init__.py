@@ -60,7 +60,6 @@ from .operators import (
     matrix_exponential_apply,
     matrix_unit,
     rank_one,
-    superop_blocks,
     superop_matrix,
     trace_norm,
 )

@@ -14,6 +14,7 @@ Subcommands raise numpy overflow, invalid and divide errors (exit 3).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -53,11 +54,11 @@ def _finite(v) -> bool:
 
 # per-subcommand schema: key -> (type check, required, range check or None);
 # a range check applies to every number of a list
-_NUMBER = ("finite number", lambda v: isinstance(v, (int, float))
+_NUMBER = ("a finite number", lambda v: isinstance(v, (int, float))
            and not isinstance(v, bool) and _finite(v))
-_INT = ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_STR = ("string", lambda v: isinstance(v, str))
-_LAMBDAS = ("finite number or list of finite numbers",
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+_LAMBDAS = ("a finite number or a list of finite numbers",
             lambda v: _NUMBER[1](v) or (isinstance(v, list) and v
                                         and all(_NUMBER[1](x) for x in v)))
 _POSITIVE = ("positive", lambda v: v > 0)
@@ -68,7 +69,9 @@ _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # birth holds a few float64 arrays of N rates, about 32 bytes per level
 _DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 2 GiB",
               lambda v: 2 <= v <= 2 ** 26)
-# blockwise expm takes O(N**4) time: nonstandard at N=107 ran 4.1 s, 75 MB peak
+# at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:
+# nonstandard exponentiates one N x N block and makes 202 dense generator
+# calls; minimal's direct solve on a dense rho covers all 2N-1 blocks, O(N**4)
 _DENSE_DIMENSION = ("at least 2 and at most 107, for a run of a few seconds",
                     lambda v: 2 <= v <= 107)
 
@@ -112,8 +115,8 @@ _COLUMNS = {
 
 def _load_config(path: str, subcommand: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(text)
@@ -132,7 +135,7 @@ def _load_config(path: str, subcommand: str) -> dict:
             continue
         value = config[key]
         if not check(value):
-            raise ConfigError(f"config key {key!r} must be a {type_name}")
+            raise ConfigError(f"config key {key!r} must be {type_name}")
         if bound is not None and not all(
                 map(bound[1], value if isinstance(value, list) else [value])):
             raise ConfigError(f"{key} must be {bound[0]}")
@@ -154,30 +157,52 @@ class _Writer:
     def __init__(self, out_dir: Path, subcommand: str, seed: int):
         self.out_dir = out_dir
         self.header = f"# semigroup-lab v{__version__} subcommand={subcommand} seed={seed}"
+        self.written: list = []
+
+    @contextlib.contextmanager
+    def _target(self, name: str):
+        """The path of an output file, remembered for `discard` unless it
+        cannot be opened; an OSError while writing it is a config error."""
+        path = self.out_dir / name
+        self.written.append(path)
+        try:
+            yield path
+        except OSError as exc:
+            if exc.filename is not None:  # open failed: the file holds nothing of this run
+                self.written.remove(path)
+            raise ConfigError(f"cannot write output: {exc}") from None
 
     def csv(self, name: str, columns, rows) -> Path:
         """One %.17g template per row; a non-finite cell raises before writing."""
-        path = self.out_dir / name
         if not np.isfinite(np.asarray(rows, dtype=float)).all():
             raise NonFiniteError(f"refusing to write non-finite values to {name}")
         fmt = ",".join(["%.17g"] * len(columns)) + "\n"
         lines = [fmt % tuple(row) for row in rows]
-        with open(path, "w", newline="") as fh:
+        with self._target(name) as path, open(path, "w", newline="") as fh:
             fh.write(self.header + "\n")
             fh.write(",".join(columns) + "\n")
             fh.writelines(lines)
         return path
 
     def json(self, name: str, payload: dict) -> Path:
-        path = self.out_dir / name
         try:
             body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise NonFiniteError(f"refusing to write {name}: {exc}") from None
-        with open(path, "w", newline="") as fh:
+        with self._target(name) as path, open(path, "w", newline="") as fh:
             fh.write(self.header + "\n")
             fh.write(body + "\n")
         return path
+
+    def kernel(self, name: str, grid: KernelGrid) -> None:
+        with self._target(name) as path:
+            grid.to_csv(path, header=self.header)
+
+    def discard(self) -> None:
+        """Remove the files this run has written or begun to write."""
+        for path in self.written:
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
@@ -333,8 +358,8 @@ def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
                 "identity_gap", "diagonal_slope", "loss_over_t"),
                [(t, lam, before, after, loss, abs(after - (before - loss)),
                  slope, trace_loss(resolved, t) / t)])
-    evolved.to_csv(writer.out_dir / "evolved.csv", header=writer.header)
-    resolved.to_csv(writer.out_dir / "resolvent.csv", header=writer.header)
+    writer.kernel("evolved.csv", evolved)
+    writer.kernel("resolvent.csv", resolved)
 
 
 def _build_profile(spec_text: str, x: np.ndarray) -> np.ndarray:
@@ -397,24 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Exit status 0, 2 (config error) or 3 (numerical failure).  On any
+    nonzero exit, an escaping exception included, the files this run wrote
+    are removed."""
     args = build_parser().parse_args(argv)
+    writer = _Writer(Path(args.out), args.subcommand, args.seed)
+    status = 1  # an exception that escapes
     try:
         config = _load_config(args.config, args.subcommand)
-        out_dir = Path(args.out)
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            writer.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from None
-        writer = _Writer(out_dir, args.subcommand, args.seed)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _RUNNERS[args.subcommand](config, writer, args.seed)
+        status = 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        status = 3
+    finally:
+        if status:
+            writer.discard()
+    return status
 
 
 def main() -> None:

@@ -13,11 +13,12 @@ to each matrix unit E_ij, dim^2 calls; that dense column loop is the
 reference route for the structured one.
 
 Matrix functions of that matrix (exponential, inverse, powers) act on each
-weakly connected component of its nonzero pattern alone (`superop_blocks`);
-the birth and reset generators split into 2*dim - 1 offset-diagonal blocks.
-The dense oracles apply f(m) to a vector block by block, f(m[b, b]) @ v[b],
-with only m[b, b] made dense.  scipy.sparse is imported where it is used, to
-keep it off the package's import time.
+weakly connected component of its nonzero pattern alone; the birth and reset
+generators split into 2*dim - 1 offset-diagonal blocks.  The dense oracles
+share one block loop, `_blockwise_apply`, which evaluates f(m[b, b]) @ v[b]
+with only m[b, b] made dense, and only for the blocks b that the vector
+occupies: a reset to |0><0| touches the diagonal block alone.  scipy.sparse
+is imported where it is used, to keep it off the package's import time.
 """
 
 from __future__ import annotations
@@ -123,35 +124,32 @@ def _column_loop(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.nd
     return m
 
 
-def superop_blocks(m) -> list:
-    """Index sets of the weakly connected components of the nonzero pattern
-    of a square matrix, each sorted ascending.
+def _blockwise_apply(superop: Callable[[np.ndarray], np.ndarray], rho: np.ndarray,
+                     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(M) rho for M = superop_matrix(superop, dim) and a matrix function f
+    (exponential, inverse, power) given as fn(block, x) = f(block) @ x.
 
-    No nonzero entry links two blocks, so m is block diagonal after a
-    permutation, and so is every polynomial or rational function of m (and of
-    lambda - m): expm, solves and powers may act on each m[b, b] alone.
+    The weakly connected components of M's nonzero pattern are its blocks:
+    no nonzero entry links two of them, so M is block diagonal after one
+    permutation, and so is f(M) (Higham 2008, Thm 1.13).  fn runs, on the
+    dense block, only for the blocks that rho occupies; f(M) maps every
+    other block of rho, which is zero, to zero.
     """
-    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(csr_array(m != 0), connection="weak")
+    dim = rho.shape[0]
+    m = superop_matrix(superop, dim)
+    v = rho.ravel()
+    _, labels = connected_components(m != 0, connection="weak")
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-
-
-def _blockwise_apply(m, v: np.ndarray,
-                     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(m) @ v for a sparse m and a matrix function f (exponential, inverse,
-    power) given as fn(block, x) = f(block) @ x, evaluated on each block b of
-    superop_blocks(m) as fn(m[b, b], v[b]) with m[b, b] dense."""
-    blocks = superop_blocks(m)
-    order = np.concatenate(blocks)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
     m = m[order][:, order]  # block diagonal: each block is a contiguous slice
-    out = np.empty_like(v)
-    bounds = np.cumsum([0] + [b.size for b in blocks])
-    for b, start, end in zip(blocks, bounds, bounds[1:]):
+    out = np.zeros_like(v)
+    for k in np.unique(labels[v != 0]):
+        start, end = bounds[k], bounds[k + 1]
+        b = order[start:end]
         out[b] = fn(m[start:end, start:end].toarray(), v[b])
-    return out
+    return out.reshape(dim, dim)
 
 
 def choi_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
@@ -169,7 +167,7 @@ def matrix_exponential_apply(
     """Reference exp(t*gen) applied to rho.
 
     Uses Pade scaling-and-squaring on each block of the superoperator
-    matrix (see superop_blocks); the squaring count grows only
+    matrix that rho occupies (see _blockwise_apply); the squaring count grows only
     logarithmically with the generator norm, so stiff generators stay
     affordable.
     """
@@ -178,9 +176,7 @@ def matrix_exponential_apply(
     rho = as_operator(rho)
     if t == 0:
         return rho.copy()
-    dim = rho.shape[0]
-    out = _blockwise_apply(superop_matrix(gen, dim), rho.ravel(),
-                           lambda a, x: expm(t * a) @ x).reshape(dim, dim)
+    out = _blockwise_apply(gen, rho, lambda a, x: expm(t * a) @ x)
     if not np.all(np.isfinite(out.view(float))):
         raise MatrixExponentialError("matrix exponential did not converge to finite values")
     return out

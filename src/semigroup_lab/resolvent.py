@@ -2,9 +2,9 @@
 Euler reconstruction of the semigroup from its resolvent.
 
 The direct resolvent solves (lambda - G) X = rho on the dim^2 x dim^2 matrix
-of the superoperator, one dense solve per block of its nonzero pattern
-(`superop_blocks`); the Euler reconstruction takes the n-th power of each
-block of lambda R_lambda the same way.  The series builds the perturbed
+of the superoperator, one dense solve per block of its nonzero pattern that
+rho occupies (`operators._blockwise_apply`); the Euler reconstruction takes
+the n-th power of those blocks of lambda R_lambda the same way.  The series builds the perturbed
 resolvent
 
     R_lambda = sum_n R0 (P R0)^n
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import _blockwise_apply, as_operator, is_positive_semidefinite, \
-    is_selfadjoint, superop_matrix, trace_norm
+    is_selfadjoint, trace_norm
 
 _MAX_ITER = 10 ** 6
 
@@ -46,11 +46,8 @@ def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
     superoperator matrix; lambda is checked before the matrix is assembled."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    rho = as_operator(rho)
-    dim = rho.shape[0]
-    x = _blockwise_apply(superop_matrix(gen, dim), rho.ravel(),
-                         lambda a, v: np.linalg.solve(lam * np.eye(v.size) - a, v))
-    return x.reshape(dim, dim)
+    return _blockwise_apply(gen, as_operator(rho),
+                            lambda a, v: np.linalg.solve(lam * np.eye(v.size) - a, v))
 
 
 def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
@@ -117,15 +114,11 @@ def euler_semigroup(resolvent: Callable[[float, np.ndarray], np.ndarray],
                     t: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Reconstruct exp(tG) rho as ((n/t) R_{n/t})^n rho, the n-th power
     taken by binary powering of each block of the resolvent's superoperator
-    matrix."""
+    matrix that rho occupies."""
     if not t > 0:
         raise ValueError("t must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    rho = as_operator(rho)
     lam = n / t
-    dim = rho.shape[0]
-    m = superop_matrix(lambda x: resolvent(lam, x), dim)
-    out = _blockwise_apply(m, rho.ravel(),
-                           lambda a, v: np.linalg.matrix_power(lam * a, n) @ v)
-    return out.reshape(dim, dim)
+    return _blockwise_apply(lambda x: resolvent(lam, x), as_operator(rho),
+                            lambda a, v: np.linalg.matrix_power(lam * a, n) @ v)

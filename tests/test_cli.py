@@ -219,6 +219,35 @@ class TestConfigValidation:
         assert sorted(tmp_path.iterdir()) == before
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("subcommand, payload, blocked", [
+        ("birth", {"rates": "geom:2", "lambda": 1.0, "N": 10}, "arrival.csv"),
+        ("diffusion", {"X": 8.0, "h": 0.1, "t": 0.1, "lambda": 1.0,
+                       "kernel": "bump:1.5:0.3"}, "evolved.csv"),
+        ("minimal", {"rates": "poly:1:2", "lambda": 1, "N": 5, "tol": 1e-10},
+         "minimal.json"),
+    ])
+    def test_unwritable_output_exits_2_and_leaves_no_file(self, tmp_path, capsys,
+                                                          subcommand, payload, blocked):
+        # a directory with the output's name: the files written before it
+        # (diffusion's summary.csv, minimal's trace_trajectory.csv) are removed
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        code, out = run_cli(tmp_path, subcommand, payload)
+        assert_clean_exit(capsys, code, 2, "config error: cannot write output")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'\xff\xfe{"rates"')
+        code = run(["birth", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_clean_exit(capsys, code, 2, "config error: cannot read config")
+        assert not (tmp_path / "out").exists()
+
+    def test_type_error_names_the_type(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "birth", {**BIRTH, "N": 1.5})
+        assert_clean_exit(capsys, code, 2,
+                          "config error: config key 'N' must be an integer")
+
     def test_json_list_config_exits_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "birth", [BIRTH])
         assert_clean_exit(capsys, code, 2, "config error: config must be a JSON object")

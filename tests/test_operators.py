@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,11 +18,10 @@ from semigroup_lab import (
     matrix_exponential_apply,
     matrix_unit,
     rank_one,
-    superop_blocks,
     superop_matrix,
     trace_norm,
 )
-from semigroup_lab import generators
+from semigroup_lab import generators, operators
 from semigroup_lab.rates import PolynomialRates
 
 from conftest import block_maps, random_operator, random_psd, random_vector
@@ -233,18 +233,24 @@ class TestStructuredSuperopMatrix:
         assert np.array_equal(superop_matrix(reset, 6).toarray(), expected)
 
 
+def components(m):
+    """Index sets of the weakly connected components of m's nonzero pattern."""
+    count, labels = scipy.sparse.csgraph.connected_components(m != 0, connection="weak")
+    return [np.flatnonzero(labels == k) for k in range(count)]
+
+
 class TestSuperopBlocks:
     @pytest.mark.parametrize("name", ["birth", "reset", "dense"])
     def test_block_count(self, rng, name):
         gen, count = block_maps(5, rng)[name]
-        blocks = superop_blocks(superop_matrix(gen, 5))
+        blocks = components(superop_matrix(gen, 5))
         assert len(blocks) == count
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(25))
 
     def test_birth_blocks_are_offset_diagonals(self, rng):
         dim = 5
         gen, _ = block_maps(dim, rng)["birth"]
-        found = {tuple(b) for b in superop_blocks(superop_matrix(gen, dim))}
+        found = {tuple(b) for b in components(superop_matrix(gen, dim))}
         rows, cols = np.divmod(np.arange(dim * dim), dim)
         bands = {tuple(np.flatnonzero(cols - rows == q)) for q in range(1 - dim, dim)}
         assert found == bands
@@ -256,6 +262,27 @@ class TestSuperopBlocks:
         m = superop_matrix(gen, 5).toarray()
         ref = (scipy.linalg.expm(0.7 * m) @ rho.ravel()).reshape(5, 5)
         out = matrix_exponential_apply(gen, 0.7, rho)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("state, calls", [("reset", 1), ("band", 1), ("dense", 11)])
+    def test_expm_runs_only_on_occupied_blocks(self, rng, monkeypatch, state, calls):
+        # the reset generator at N=6 has 2N - 1 = 11 offset-diagonal blocks;
+        # |0><0| lies in the diagonal one, E_02 in the q = 2 one
+        gen, _ = block_maps(6, rng)["reset"]
+        rho = {"reset": matrix_unit(0, 0, 6), "band": matrix_unit(0, 2, 6),
+               "dense": random_operator(6, rng)}[state]
+        count = 0
+
+        def counting_expm(a):
+            nonlocal count
+            count += 1
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(operators, "expm", counting_expm)
+        out = matrix_exponential_apply(gen, 0.7, rho)
+        ref = (scipy.linalg.expm(0.7 * superop_matrix(gen, 6).toarray())
+               @ rho.ravel()).reshape(6, 6)
+        assert count == calls
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import semigroup_lab.operators
 import semigroup_lab.resolvent
 from semigroup_lab import (
     SeriesDivergenceError,
@@ -59,7 +60,7 @@ class TestResolventDirect:
         def refuse(*args):
             pytest.fail("the superoperator matrix was assembled")
 
-        monkeypatch.setattr(semigroup_lab.resolvent, "superop_matrix", refuse)
+        monkeypatch.setattr(semigroup_lab.operators, "superop_matrix", refuse)
         with pytest.raises(ValueError, match="lambda"):
             resolvent_direct(birth_generator(RATES, 40), lam, matrix_unit(0, 0, 40))
 
