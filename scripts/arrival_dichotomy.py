@@ -3,12 +3,14 @@
 
 Compares two rate families at a fixed resolvent parameter: with linearly
 growing rates the escape defect vanishes as the truncation grows, while for
-geometric rates it converges to the positive arrival product.
+geometric rates it converges to the positive arrival product.  The defect of
+the chain truncated at N is the partial arrival product over its N levels,
+printed in exponent format so that small defects show.
 """
 
 import argparse
 
-from semigroup_lab import arrival_laplace, conservativity_defect, matrix_unit
+from semigroup_lab import arrival_laplace, arrival_partial_product
 from semigroup_lab.rates import parse_rate_spec
 
 
@@ -28,9 +30,8 @@ def main():
               f"(bracket width {bracket.width:.1e})")
         print(f"{'N':>6}  {'defect(N)':>16}  {'defect - product':>18}")
         for dim in args.dims:
-            defect = conservativity_defect(rates, args.lam,
-                                           matrix_unit(0, 0, dim))
-            print(f"{dim:>6}  {defect:>16.12f}  {defect - bracket.value:>18.3e}")
+            defect = arrival_partial_product(rates, args.lam, 0, dim)
+            print(f"{dim:>6}  {defect:>16.9e}  {defect - bracket.value:>18.3e}")
 
 
 if __name__ == "__main__":

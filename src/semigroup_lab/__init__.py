@@ -14,11 +14,11 @@ from .birth import (
     arrival_laplace,
     arrival_partial_product,
     band_domain_element,
-    band_entry,
     band_functional,
     birth_generator,
     birth_resolvent,
     conservativity_defect,
+    domain_band,
     geometric_band_decay,
     leading_column_report,
     moderate_growth_report,

@@ -15,6 +15,9 @@ many entries of the input, via products of factors
 
 This makes the closed form exact on the truncation and provides the oracle
 for every other resolvent route in the package.
+
+The domain probes read one band at a time: the q-th offset diagonal as a 1-D
+array, band[n] = <n|rho|n+q>, which is np.diagonal(rho, q) for a matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +33,6 @@ from .bands import band_solve, from_bands, to_bands
 from .generators import StandardGeneratorSpec
 from .operators import as_operator
 from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence, _check_index
-
-EntryAccessor = Union[np.ndarray, Callable[[int, int], complex]]
 
 # factors per block of the arrival product; bounds its temporaries to 512 kB
 _PRODUCT_BLOCK = 2 ** 16
@@ -138,19 +139,6 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
     return band_solve(source, weight, lam + 0.5 * (mu_n + mu_m))
 
 
-def _entry_accessor(rho: EntryAccessor) -> Callable[[int, int], complex]:
-    if callable(rho):
-        return rho
-    mat = as_operator(rho)
-
-    def entry(n: int, m: int) -> complex:
-        if 0 <= n < mat.shape[0] and 0 <= m < mat.shape[1]:
-            return complex(mat[n, m])
-        return 0.0
-
-    return entry
-
-
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
                             count: int) -> float:
     """Product of 1/(1 + lambda/mu_j) over exactly `count` factors, j from
@@ -233,33 +221,38 @@ def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> f
     return 1.0 - lam * float(np.real(_solve_bands(lam, mu, mu, np.diagonal(rho)).sum()))
 
 
-def band_functional(rates: RateSequence, rho: EntryAccessor, q: int,
+def band_functional(rates: RateSequence, band: np.ndarray, q: int,
                     n_probe: int):
-    """Probe the limit of F(n) = (mu_n + mu_{n+q})/2 * <n|rho|n+q>.
+    """Probe the limit of F(n) = (mu_n + mu_{n+q})/2 * band[n] along the
+    q-th band band[n] = <n|rho|n+q>.
 
     The limit exists for every generator-domain element; it vanishes on the
     no-event domain and picks out the normalization flux for q = 0.  Returns
     (F(n_probe), converged) where converged means the probe lies within 1e-2
     of the half-way point n_probe // 2.
     """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if n_probe < 2:
         raise ValueError("n_probe must be at least 2")
-    if n_probe + q < 0 or n_probe // 2 + q < 0:
-        raise RateRangeError("probe indices must be nonnegative")
-    entry = _entry_accessor(rho)
-    if not callable(rho):
-        mat_dim = as_operator(rho).shape[0]
-        if n_probe + max(q, 0) >= mat_dim:
-            raise RateRangeError(
-                f"probe {n_probe} (+q={q}) outside stored truncation {mat_dim}"
-            )
+    band = _as_band(band)
+    if n_probe >= band.size:
+        raise RateRangeError(f"probe {n_probe} outside stored band of length {band.size}")
+    mu = rates.mu_array(0, n_probe + q + 1)
 
     def f(n: int) -> complex:
-        return 0.5 * (rates.mu(n) + rates.mu(n + q)) * entry(n, n + q)
+        return 0.5 * (mu[n] + mu[n + q]) * band[n]
 
     estimate = f(n_probe)
-    converged = abs(estimate - f(n_probe // 2)) < 1e-2
-    return estimate, bool(converged)
+    return estimate, bool(abs(estimate - f(n_probe // 2)) < 1e-2)
+
+
+def domain_band(rates: RateSequence, q: int, length: int) -> np.ndarray:
+    """The band 2/(mu_n + mu_{n+q}), n < length, of the domain element
+    sum_n 2/(mu_n + mu_{n+q}) |n><n+q|."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return 2.0 / (rates.mu_array(0, length) + rates.mu_array(q, length))
 
 
 def band_domain_element(rates: RateSequence, q: int, dim: int) -> np.ndarray:
@@ -269,28 +262,16 @@ def band_domain_element(rates: RateSequence, q: int, dim: int) -> np.ndarray:
     grows to the expected explosion time; under moderate rate growth it lies
     in the generator domain with unit normalization flux.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
     if dim <= q:
         raise ValueError("truncation too small for the requested band")
-    mu = rates.mu_array(0, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(dim - q)
-    out[n, n + q] = 2.0 / (mu[n] + mu[n + q])
-    return out
+    return np.diag(domain_band(rates, q, dim - q).astype(complex), q)
 
 
-def band_entry(rates: RateSequence, q: int) -> Callable[[int, int], complex]:
-    """Lazy entry accessor for the band element, usable at any probe index."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-
-    def entry(n: int, m: int) -> complex:
-        if m - n == q and n >= 0:
-            return 2.0 / (rates.mu(n) + rates.mu(m))
-        return 0.0
-
-    return entry
+def _as_band(band: np.ndarray) -> np.ndarray:
+    band = np.asarray(band)
+    if band.ndim != 1:
+        raise ValueError("a band is a 1-D offset diagonal, np.diagonal(rho, q)")
+    return band
 
 
 def am_gm_gap(a: float, b: float) -> float:
@@ -334,14 +315,15 @@ def moderate_growth_report(rates: RateSequence, q_max: int, n_max: int
 
 
 def geometric_band_decay(rates: RateSequence, q: int, lam: float,
-                         rho: EntryAccessor, n_values: Sequence[int]
+                         band: np.ndarray, n_values: Sequence[int]
                          ) -> BandDecayTable:
-    """Decay table of the band functional along a resolvent output for
-    geometrically growing rates mu_n = a^n.
+    """Decay table of the band functional along the resolvent output of the
+    q-th band band[n] = <n|rho|n+q>, for geometrically growing rates
+    mu_n = a^n; the band reads as zero past its end.
 
     Every product factor on the q-th band is bounded by
     gamma = 2 a^{q/2} / (1 + a^q) < 1, so F(n) is dominated by the
-    convolution envelope sum_k gamma^k |<n-k|rho|n-k+q>| and decays to zero.
+    convolution envelope sum_k gamma^k |band[n-k]| and decays to zero.
     """
     if not isinstance(rates, GeometricRates):
         raise TypeError("geometric_band_decay requires geometric rates")
@@ -351,10 +333,11 @@ def geometric_band_decay(rates: RateSequence, q: int, lam: float,
         raise ValueError("lambda must be positive")
     a = rates.a
     gamma = 2.0 * a ** (q / 2.0) / (1.0 + a ** q)
-    entry = _entry_accessor(rho)
+    band = _as_band(band)
     n_sorted = sorted(_check_index(v) for v in n_values)
     length = n_sorted[-1] + 1 if n_sorted else 0
-    source = np.array([entry(j, j + q) for j in range(length)], dtype=complex)
+    source = np.zeros(length, dtype=complex)
+    source[:band.size] = band[:length]
     mu = rates.mu_array(0, length + q)
     resolved = _solve_bands(lam, mu[:length], mu[q:], source)
     envelope = band_solve(np.abs(source), gamma, 1.0)

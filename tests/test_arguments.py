@@ -50,7 +50,7 @@ def identity_resolvent(lam, x):
     lambda: arrival_laplace(GEO, 1.0, tail_tol=NAN),
     lambda: arrival_partial_product(GEO, NAN, 0, 10),
     lambda: birth_resolvent(GEO, NAN, RHO),
-    lambda: geometric_band_decay(GEO, 1, NAN, RHO, [1]),
+    lambda: geometric_band_decay(GEO, 1, NAN, np.diagonal(RHO, 1), [1]),
     lambda: no_event_resolvent(GEO, NAN, RHO),
     lambda: conservativity_defect(GEO, NAN, RHO),
     lambda: empirical_laplace(SAMPLES, NAN, GEO),

@@ -9,7 +9,6 @@ from semigroup_lab import (
     birth_resolvent,
     conservativity_defect,
     geometric_band_decay,
-    matrix_unit,
     resolvent_direct,
 )
 from semigroup_lab.bands import band_solve, from_bands, to_bands
@@ -80,7 +79,7 @@ class TestDiagonalBandRoutes:
         rates, lam, q, dim = GeometricRates(2.0), 1.0, 2, 20
         rho = random_operator(dim, rng)
         n_values = [0, 3, 9, dim - q - 1]
-        table = geometric_band_decay(rates, q, lam, rho, n_values)
+        table = geometric_band_decay(rates, q, lam, np.diagonal(rho, q), n_values)
         dense = resolvent_direct(birth_generator(rates, dim), lam, rho)
         for n, f in zip(n_values, table.f_values):
             mid = 0.5 * (rates.mu(n) + rates.mu(n + q))
@@ -88,5 +87,6 @@ class TestDiagonalBandRoutes:
 
     def test_geometric_decay_envelope_is_convolution(self):
         rates, q = GeometricRates(2.0), 1
-        table = geometric_band_decay(rates, q, 1.0, matrix_unit(0, 1, 2), [0, 4])
+        # the q=1 band of |0><1|, read as zero past its end
+        table = geometric_band_decay(rates, q, 1.0, [1.0], [0, 4])
         assert table.envelope == pytest.approx((1.0, table.gamma ** 4), rel=1e-14)

@@ -12,11 +12,11 @@ from semigroup_lab import (
     arrival_laplace,
     arrival_partial_product,
     band_domain_element,
-    band_entry,
     band_functional,
     birth_generator,
     birth_resolvent,
     conservativity_defect,
+    domain_band,
     geometric_band_decay,
     leading_column_report,
     matrix_unit,
@@ -179,14 +179,14 @@ class TestClosedFormResolvent:
         assert abs(values[-1] - 1.0) < 1e-5
         assert all(abs(b - 1.0) < abs(a - 1.0) for a, b in zip(values, values[1:]))
 
-    def test_entry_accessor_matches_matrix(self, rng):
-        # the band route reads rho through a lazy (n, m) accessor; its band
-        # values must be those of the full closed-form matrix
+    def test_band_route_matches_matrix(self, rng):
+        # the decay table solves one band of rho; its values must be those of
+        # the full closed-form matrix
         dim, q = 12, 1
         rho = random_operator(dim, rng)
         full = birth_resolvent(GEO, 1.0, rho)
         n_values = [0, 5, 10]
-        table = geometric_band_decay(GEO, q, 1.0, lambda n, m: rho[n, m], n_values)
+        table = geometric_band_decay(GEO, q, 1.0, np.diagonal(rho, q), n_values)
         expected = [abs(0.5 * (GEO.mu(n) + GEO.mu(n + q)) * full[n, n + q])
                     for n in n_values]
         assert np.allclose(table.f_values, expected, rtol=1e-12, atol=0)
@@ -376,18 +376,24 @@ class TestTruncatedDefectProduct:
 class TestBandFunctionals:
     def test_finite_rank_gives_zero(self):
         rho = matrix_unit(3, 3, 2000)
-        est, converged = band_functional(POLY, rho, 0, 1000)
+        est, converged = band_functional(POLY, np.diagonal(rho), 0, 1000)
         assert est == 0.0 and converged
 
     def test_diagonal_band_unit_flux(self):
-        est, converged = band_functional(POLY, band_entry(POLY, 0), 0, 10_000)
+        est, converged = band_functional(POLY, domain_band(POLY, 0, 10_001), 0, 10_000)
         assert est == pytest.approx(1.0, abs=1e-12) and converged
 
-    def test_kronecker_table(self):
-        for q in (0, 1, 2):
-            for qp in (0, 1, 2):
-                est, _ = band_functional(POLY, band_entry(POLY, qp), q, 10_000)
-                assert abs(est - (1.0 if q == qp else 0.0)) <= 5e-3
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_offset_band_unit_flux(self, q):
+        est, converged = band_functional(POLY, domain_band(POLY, q, 10_001), q, 10_000)
+        assert est == pytest.approx(1.0, abs=1e-12) and converged
+
+    @pytest.mark.parametrize("rates", [POLY, GEO])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_domain_element_is_its_band_on_the_diagonal(self, rates, q):
+        dim = 20
+        element = band_domain_element(rates, q, dim)
+        assert np.array_equal(element, np.diag(domain_band(rates, q, dim - q), q))
 
     def test_flux_equals_trace_loss_on_domain_elements(self, rng):
         # Phi_0 = -tr(G rho) for resolvent-domain elements
@@ -396,7 +402,7 @@ class TestBandFunctionals:
         rho_prime[-1, :] = 0.0
         rho_prime[:, -1] = 0.0
         element = birth_resolvent(POLY, lam, rho_prime)
-        est, _ = band_functional(POLY, element, 0, dim - 2)
+        est, _ = band_functional(POLY, np.diagonal(element), 0, dim - 2)
         loss = -np.trace(birth_generator(POLY, dim)(element)[:dim - 1, :dim - 1]).real
         assert abs(est.real - loss) <= 1e-8 * max(1.0, abs(loss))
 
@@ -410,8 +416,18 @@ class TestBandFunctionals:
                            [1.0 / POLY.mu(n) for n in range(6)])
 
     def test_probe_out_of_range_rejected(self):
-        with pytest.raises(RateRangeError):
-            band_functional(POLY, matrix_unit(0, 0, 10), 0, 50)
+        # probes at and past the end of the band
+        for band, q, n_probe in [(np.diagonal(matrix_unit(0, 0, 10)), 0, 50),
+                                 (domain_band(POLY, 1, 10), 1, 10),
+                                 (domain_band(POLY, 1, 10), 1, 11)]:
+            with pytest.raises(RateRangeError):
+                band_functional(POLY, band, q, n_probe)
+
+    def test_bad_band_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            band_functional(POLY, domain_band(POLY, 0, 10), -1, 5)
+        with pytest.raises(ValueError):
+            band_functional(POLY, matrix_unit(0, 0, 10), 0, 5)
 
 
 class TestModerateGrowth:
@@ -454,33 +470,34 @@ class TestAmGmGap:
 
 class TestGeometricBandDecay:
     def test_gamma_value(self):
-        table = geometric_band_decay(GEO, 1, 1.0, matrix_unit(0, 0, 2), [10])
+        table = geometric_band_decay(GEO, 1, 1.0, [0.0], [10])
         assert table.gamma == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-14)
 
     def test_ground_state_band_vanishes(self):
-        table = geometric_band_decay(GEO, 1, 1.0, matrix_unit(0, 0, 2), [100, 300])
-        assert all(f <= 1e-6 for f in table.f_values)
+        band = np.diagonal(matrix_unit(0, 0, 2), 1)
+        table = geometric_band_decay(GEO, 1, 1.0, band, [100, 300])
+        assert table.f_values == table.envelope == (0.0, 0.0)
 
     def test_offdiagonal_source_decays_under_envelope(self):
-        rho = matrix_unit(0, 1, 2)
-        table = geometric_band_decay(GEO, 1, 1.0, rho, [50, 100, 200, 300])
+        band = np.diagonal(matrix_unit(0, 1, 2), 1)
+        table = geometric_band_decay(GEO, 1, 1.0, band, [50, 100, 200, 300])
         assert all(f <= e + 1e-15 for f, e in zip(table.f_values, table.envelope))
         assert all(b < a for a, b in zip(table.f_values, table.f_values[1:]))
         assert table.f_values[-1] <= 1e-6
 
     def test_requires_geometric_rates(self):
         with pytest.raises(TypeError):
-            geometric_band_decay(POLY, 1, 1.0, matrix_unit(0, 0, 2), [10])
+            geometric_band_decay(POLY, 1, 1.0, [0.0], [10])
 
     def test_negative_index_rejected(self):
         with pytest.raises(RateRangeError):
-            geometric_band_decay(GEO, 1, 1.0, matrix_unit(0, 0, 2), [-1, 10])
+            geometric_band_decay(GEO, 1, 1.0, [0.0], [-1, 10])
 
     def test_flux_vanishes_on_geometric_domain_elements(self):
         # with exponentially growing rates every resolvent image has
         # vanishing band flux, probed far out on a truncation that holds it
         element = birth_resolvent(GEO, 1.0, matrix_unit(0, 1, 602))
-        est, converged = band_functional(GEO, element, 1, 600)
+        est, converged = band_functional(GEO, np.diagonal(element, 1), 1, 600)
         assert abs(est) <= 1e-12 and converged
 
 
