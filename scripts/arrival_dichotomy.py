@@ -5,7 +5,9 @@ Compares two rate families at a fixed resolvent parameter: with linearly
 growing rates the escape defect vanishes as the truncation grows, while for
 geometric rates it converges to the positive arrival product.  The defect of
 the chain truncated at N is the partial arrival product over its N levels,
-printed in exponent format so that small defects show.
+printed in exponent format so that small defects show.  The product itself is
+known only to its bracket [lower, value], so defect - value is printed only
+where it exceeds the bracket width.
 """
 
 import argparse
@@ -26,12 +28,16 @@ def main():
     for spec_text in args.rates:
         rates = parse_rate_spec(spec_text)
         bracket = arrival_laplace(rates, args.lam)
-        print(f"\nrates {spec_text}: arrival product = {bracket.value:.12g} "
+        print(f"\nrates {spec_text}: arrival product in "
+              f"[{bracket.lower:.12g}, {bracket.value:.12g}] "
               f"(bracket width {bracket.width:.1e})")
-        print(f"{'N':>6}  {'defect(N)':>16}  {'defect - product':>18}")
+        print(f"{'N':>6}  {'defect(N)':>16}  {'defect - value':>22}")
         for dim in args.dims:
             defect = arrival_partial_product(rates, args.lam, 0, dim)
-            print(f"{dim:>6}  {defect:>16.9e}  {defect - bracket.value:>18.3e}")
+            gap = defect - bracket.value
+            # defect(N) >= product >= lower: a gap within the width resolves nothing
+            column = f"{gap:.3e}" if gap > bracket.width else "within bracket width"
+            print(f"{dim:>6}  {defect:>16.9e}  {column:>22}")
 
 
 if __name__ == "__main__":

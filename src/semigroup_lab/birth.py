@@ -41,17 +41,15 @@ _MAX_FACTORS = 10 ** 7
 
 @dataclass(frozen=True)
 class ArrivalBracket:
-    """Truncated infinite product with a rigorous enclosure [lower, upper]."""
+    """Truncated infinite product with a rigorous enclosure [lower, value]."""
 
     value: float
     lower: float
-    upper: float
     n_factors: int
-    list_exhausted: bool = False
 
     @property
     def width(self) -> float:
-        return self.upper - self.lower
+        return self.value - self.lower
 
 
 @dataclass(frozen=True)
@@ -139,76 +137,77 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
     return band_solve(source, weight, lam + 0.5 * (mu_n + mu_m))
 
 
+def _arrival_product(rates: RateSequence, lam: float, n_start: int,
+                     count: int, floor: float) -> tuple[float, int]:
+    """(product, factors multiplied) of 1/(1 + lambda/mu_j) from j = n_start, in
+    order and in blocks, to `count` factors or the first partial product <= floor.
+    A rate that overflows is a factor of 1, a ratio that overflows a factor of 0."""
+    _check_index(n_start, count)
+    product = 1.0
+    for done in range(0, count, _PRODUCT_BLOCK):
+        with np.errstate(over="ignore"):
+            ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
+        partial = np.divide.accumulate(np.concatenate(([product], 1.0 + ratio)))[1:]
+        small = np.flatnonzero(partial <= floor)
+        if small.size:
+            return float(partial[small[0]]), done + int(small[0]) + 1
+        product = float(partial[-1])
+    return product, count
+
+
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
                             count: int) -> float:
-    """Product of 1/(1 + lambda/mu_j) over exactly `count` factors, j from
-    n_start.  It is the Laplace transform of the time to climb through these
-    levels, so with count = N - n_start it is the defect of the chain
-    truncated at N and started on level n_start.  A rate that overflows is a
-    factor of 1, a ratio lambda/mu_j that overflows a factor of 0."""
+    """Product of 1/(1 + lambda/mu_j) over exactly `count` factors from j = n_start:
+    the Laplace transform of the time to climb through these levels, so with
+    count = N - n_start the defect of the chain truncated at N from level n_start."""
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
-    with np.errstate(over="ignore"):
-        ratio = lam / rates.mu_array(n_start, count)
-    return float(np.prod(1.0 / (1.0 + ratio)))
+    return _arrival_product(rates, lam, n_start, count, 0.0)[0]  # 0 stays 0
 
 
 def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
                     tail_tol: float = 1e-12) -> ArrivalBracket:
-    """Laplace transform of the arrival-at-infinity density, as the infinite
-    product prod_{j >= n_start} 1/(1 + lambda/mu_j).
+    """Laplace transform of the arrival-at-infinity density, the infinite product
+    prod_{j >= n_start} 1/(1 + lambda/mu_j), enclosed in [lower, value].
 
-    When sum_j 1/mu_j diverges the product is exactly zero (conservative
-    case) and is returned as such without iterating.  Otherwise factors are
-    multiplied until either the bound sum_{j>=J} lambda/mu_j on the remaining
-    tail certifies a bracket narrower than tail_tol, or the partial product
-    itself drops to tail_tol; RuntimeError when neither happens
-    within _MAX_FACTORS factors.  Explicit lists are never extrapolated: the
-    product over the listed range is returned with a flag, and it is an
-    error when the list runs out while the tail is not provably negligible.
+    It is exactly 0 when sum_j 1/mu_j diverges (conservative case).  Otherwise
+    factors are multiplied until the tail bound lambda * sum_{j >= J} 1/mu_j
+    certifies the bracket to tail_tol, or the partial product drops to tail_tol;
+    RuntimeError when neither can happen within _MAX_FACTORS factors.  An
+    explicit list is multiplied whole and must leave a provably negligible tail.
     """
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     if lam == 0:
-        return ArrivalBracket(value=1.0, lower=1.0, upper=1.0, n_factors=0)
+        return ArrivalBracket(value=1.0, lower=1.0, n_factors=0)
     if isinstance(rates, ExplicitRates):
         count = len(rates.values) - n_start
         if count <= 0:
             raise RateRangeError(f"explicit list has no rates from {n_start} on")
         product = arrival_partial_product(rates, lam, n_start, count)
         if product > tail_tol:
-            raise RateRangeError(
-                f"explicit rate list too short: partial product {product:.3e} "
-                f"over {count} factors leaves a tail that is not provably "
-                "negligible"
-            )
-        return ArrivalBracket(value=product, lower=0.0, upper=product,
-                              n_factors=count, list_exhausted=True)
+            raise RateRangeError(f"explicit rate list too short: partial product "
+                                 f"{product:.3e} over {count} factors leaves a tail "
+                                 "that is not provably negligible")
+        return ArrivalBracket(value=product, lower=0.0, n_factors=count)
     if math.isinf(rates.inverse_tail(n_start)):
-        return ArrivalBracket(value=0.0, lower=0.0, upper=0.0, n_factors=0)
+        return ArrivalBracket(value=0.0, lower=0.0, n_factors=0)
     # the tail bound is non-increasing: bisect for the first certified count
     first = 1 + bisect.bisect_left(range(1, _MAX_FACTORS + 1), True, key=lambda k:
                                    lam * rates.inverse_tail(n_start + k) < tail_tol)
     last = min(first, _MAX_FACTORS)
-    product = 1.0
-    for done in range(0, last, _PRODUCT_BLOCK):
-        with np.errstate(over="ignore"):  # a rate that overflows is a factor of 1
-            mu = rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, last - done))
-        partial = np.divide.accumulate(np.concatenate(([product], 1.0 + lam / mu)))[1:]
-        small = np.flatnonzero(partial <= tail_tol)
-        if small.size:
-            product = float(partial[small[0]])
-            return ArrivalBracket(value=product, lower=0.0, upper=product,
-                                  n_factors=done + int(small[0]) + 1)
-        product = float(partial[-1])
-    if first > _MAX_FACTORS:
-        raise RuntimeError(f"no certified bracket after {_MAX_FACTORS} factors")
-    # 1/(1+x) >= exp(-x) for x >= 0, so the neglected tail of the product
-    # lies in [exp(-tail), 1]
-    lower = product * math.exp(-lam * rates.inverse_tail(n_start + last))
-    return ArrivalBracket(value=product, lower=lower, upper=product, n_factors=last)
+    # 1/(1+x) >= exp(-x) for x >= 0: no partial product falls below exp(-lam *
+    # inverse_tail(n_start)), and a neglected tail lies in [exp(-its bound), 1]
+    if first <= _MAX_FACTORS or math.exp(-lam * rates.inverse_tail(n_start)) <= tail_tol:
+        product, n_factors = _arrival_product(rates, lam, n_start, last, tail_tol)
+        if product <= tail_tol:
+            return ArrivalBracket(value=product, lower=0.0, n_factors=n_factors)
+        if first <= _MAX_FACTORS:
+            lower = product * math.exp(-lam * rates.inverse_tail(n_start + last))
+            return ArrivalBracket(value=product, lower=lower, n_factors=last)
+    raise RuntimeError(f"no certified bracket after {_MAX_FACTORS} factors")
 
 
 def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> float:

@@ -66,8 +66,9 @@ _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
-# birth holds a few float64 arrays of N rates, about 32 bytes per level
-_DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 2 GiB",
+# birth's rate check peaks at about 16 bytes per level; the arrival products
+# hold one block at a time (N = 2**26: 1.1 GB peak, 3 s)
+_DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 1 GiB",
               lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:
 # nonstandard exponentiates one N x N block and makes 202 dense generator

@@ -49,7 +49,7 @@ def rates_from(rates, start, chunk=256):
 def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 7):
     """Reference: the factor-by-factor loop over a convergent rate family,
     checking the partial product and then the tail bound after each factor;
-    returns (value, lower, upper, n_factors)."""
+    returns (value, lower, n_factors)."""
     product = 1.0
     j = n_start
     mu = rates_from(rates, n_start)
@@ -57,16 +57,16 @@ def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 
         product /= 1.0 + lam / next(mu)
         j += 1
         if product <= tail_tol:
-            return product, 0.0, product, j - n_start
+            return product, 0.0, j - n_start
         tail = lam * rates.inverse_tail(j)
         if tail < tail_tol:
-            return product, product * math.exp(-tail), product, j - n_start
+            return product, product * math.exp(-tail), j - n_start
     raise RuntimeError(f"no certified bracket after {max_factors} factors")
 
 
 def blocked_arrival(rates, lam, **kwargs):
     bracket = arrival_laplace(rates, lam, **kwargs)
-    return bracket.value, bracket.lower, bracket.upper, bracket.n_factors
+    return bracket.value, bracket.lower, bracket.n_factors
 
 
 # (rates, lambdas, n_start, tail_tol): the benchmark's configs and both exits,
@@ -230,7 +230,7 @@ class TestArrivalProduct:
         bracket = arrival_laplace(GEO, 1.0, tail_tol=1e-12)
         assert bracket.value > 0.2
         assert bracket.width <= 1e-10
-        assert bracket.lower <= bracket.value <= bracket.upper
+        assert 0.0 < bracket.lower <= bracket.value
 
     def test_conservative_product_exactly_zero(self):
         # divergent sum of inverse rates certifies a vanishing product
@@ -245,10 +245,10 @@ class TestArrivalProduct:
     def test_explicit_list_flagged(self):
         rates = ExplicitRates(tuple(2.0 ** n for n in range(40)))
         bracket = arrival_laplace(rates, 1.0, tail_tol=0.5)
-        assert bracket.list_exhausted
+        # the whole list is multiplied, and its bracket reaches down to 0
+        assert bracket.n_factors == 40
         assert bracket.lower == 0.0
-        assert bracket.value == pytest.approx(
-            arrival_partial_product(rates, 1.0, 0, 40), rel=1e-12)
+        assert bracket.value == arrival_partial_product(rates, 1.0, 0, 40)
 
     def test_explicit_list_too_short(self):
         with pytest.raises(RateRangeError, match="too short"):
@@ -282,7 +282,7 @@ class TestArrivalProduct:
         # a partial product equal to tail_tol ends the product; a tail bound
         # equal to it does not
         monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
-        value, _, _, k = sequential_arrival(rates, 1.0)
+        value, _, k = sequential_arrival(rates, 1.0)
         for tail_tol in (value, rates.inverse_tail(k)):
             assert blocked_arrival(rates, 1.0, tail_tol=tail_tol) == \
                 sequential_arrival(rates, 1.0, tail_tol=tail_tol)
@@ -294,6 +294,18 @@ class TestArrivalProduct:
             arrival_laplace(rates, 1.0)
         with pytest.raises(RuntimeError, match="after 1000 factors"):
             sequential_arrival(rates, 1.0, max_factors=1000)
+
+    @pytest.mark.parametrize("n_start", [1, 3])
+    def test_provable_failure_multiplies_no_factor(self, monkeypatch, n_start):
+        # every partial product of poly:1:2.5 from n_start >= 1 is at least
+        # exp(-inverse_tail(n_start)) >= exp(-2/3) > tail_tol, and no count
+        # within _MAX_FACTORS certifies the tail: the give-up reads no rate
+        def no_rates(self, start, count):
+            raise AssertionError("the product loop read rates")
+
+        monkeypatch.setattr(PolynomialRates, "mu_array", no_rates)
+        with pytest.raises(RuntimeError, match="no certified bracket after 10000000"):
+            arrival_laplace(PolynomialRates(1.0, 2.5), 1.0, n_start=n_start)
 
     def test_negative_start_rejected(self):
         with pytest.raises(RateRangeError):

@@ -44,19 +44,20 @@ class TestBirthSubcommand:
         assert float(row[2]) <= 1e-10
 
     def test_defect_is_the_truncated_product(self, tmp_path):
-        # at geom:1.01, N=600 the defect is 2.5e-20 at lambda = 0.5, where
-        # 1 - lambda tr R would cancel to 0
+        # at geom:1.01, N=600 the defects run from 2.5e-20 to 1.9e-63, where
+        # 1 - lambda tr R would cancel to 0; a 50-digit product is the oracle
         mpmath = pytest.importorskip("mpmath")
-        lambdas = [0.25, 0.5, 1.0, 2.0]
-        code, out = run_cli(tmp_path, "birth",
-                            {"rates": "geom:1.01", "lambda": lambdas, "N": 600})
-        assert code == 0
-        lines = (out / "arrival.csv").read_text().splitlines()[2:]
-        with mpmath.workdps(50):
-            for lam, line in zip(lambdas, lines):
-                expected = mpmath.fprod(1 / (1 + lam / mpmath.mpf(1.01) ** j)
-                                        for j in range(600))
-                assert abs(float(line.split(",")[3]) - expected) <= 1e-13 * expected
+        cases = [("geom:1.01", [0.25, 0.5, 1.0, 2.0], 600, lambda j: mpmath.mpf(1.01) ** j),
+                 ("poly:1:3", [0.25, 1.0, 4.0], 200, lambda j: mpmath.mpf(j + 1) ** 3)]
+        for spec, lambdas, dim, mu in cases:
+            code, out = run_cli(tmp_path, "birth",
+                                {"rates": spec, "lambda": lambdas, "N": dim})
+            assert code == 0
+            lines = (out / "arrival.csv").read_text().splitlines()[2:]
+            with mpmath.workdps(50):
+                for lam, line in zip(lambdas, lines):
+                    expected = mpmath.fprod(1 / (1 + lam / mu(j)) for j in range(dim))
+                    assert abs(float(line.split(",")[3]) - expected) <= 1e-13 * expected
 
     def test_byte_identical_reruns(self, tmp_path):
         payload = {"rates": "geom:2", "lambda": [0.5, 1.0], "N": 40}
@@ -373,7 +374,7 @@ class TestConfigRanges:
         assert _load_config(path, subcommand)["N"] == 107
 
     def test_birth_budget_admits_n_2_to_26(self, tmp_path):
-        # about 2 GiB of rate arrays at the limit; the config is only loaded
+        # 1.1 GB peak at the limit; the config is only loaded
         path = write_config(tmp_path, {**BIRTH, "N": 2 ** 26})
         assert _load_config(path, "birth")["N"] == 2 ** 26
 
@@ -582,6 +583,17 @@ class TestNonFiniteOutput:
         assert code == 0
         row = (out / "arrival.csv").read_text().splitlines()[2].split(",")
         assert float(row[1]) == 1 / (1 + 1e300)
+
+    def test_overflowing_ratio_is_a_factor_of_zero(self, tmp_path):
+        # lambda / mu_0 = 1e10 / 1e-300 overflows: the factor is 0 in both the
+        # arrival product and the truncated defect
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "birth",
+                                {"rates": "poly:1e-300:2", "lambda": 1e10, "N": 10})
+        assert code == 0
+        row = (out / "arrival.csv").read_text().splitlines()[2].split(",")
+        assert float(row[1]) == float(row[3]) == 0.0
 
     def test_uncertified_arrival_product_writes_nothing(self, tmp_path):
         # the give-up escapes cli.run, as the benchmark's own tests expect
