@@ -49,7 +49,6 @@ from .nonstandard import (
     TraceResetGenerator,
     conservativity_residual,
     falsifier_report,
-    reset_contraction_report,
 )
 from .operators import (
     MatrixExponentialError,

@@ -211,13 +211,12 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
 
 
 def conservativity_defect(rates: RateSequence, lam: float, rho: np.ndarray) -> float:
-    """Normalization loss in Laplace picture: 1 - lambda * tr(R_lambda rho)
-    over the truncation carried by rho; the trace needs the diagonal band only."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    rho = as_operator(rho)
-    mu = rates.mu_array(0, rho.shape[0])
-    return 1.0 - lam * float(np.real(_solve_bands(lam, mu, mu, np.diagonal(rho)).sum()))
+    """Normalization loss tr rho - lambda tr R_lambda rho over the truncation
+    carried by rho.  The truncation cuts the jump out of the top level N-1, so
+    tr G X = -mu_{N-1} X[N-1, N-1] and the loss is the flux
+    mu_{N-1} <N-1|R_lambda rho|N-1>, read off without forming a difference."""
+    resolved = birth_resolvent(rates, lam, rho)
+    return float(rates.mu(resolved.shape[0] - 1) * resolved[-1, -1].real)
 
 
 def band_functional(rates: RateSequence, band: np.ndarray, q: int,

@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .birth import arrival_laplace, arrival_partial_product, birth_generator, \
-    birth_resolvent, no_event_resolvent
+from .birth import _PRODUCT_BLOCK, arrival_laplace, arrival_partial_product, \
+    birth_generator, no_event_resolvent
 from .diffusion import KernelGrid, QuadratureError, _grid_intervals, \
     apply_resolvent, apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
-from .nonstandard import falsifier_report, reset_contraction_report
-from .operators import MatrixExponentialError, NonFiniteError, matrix_unit, \
-    trace_norm
+from .nonstandard import falsifier_report
+from .operators import MatrixExponentialError, NonFiniteError, trace_norm
 from .rates import RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
 from .trajectories import BiasCheckError, TrajectoryStreams, \
@@ -66,9 +65,9 @@ _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
-# birth's rate check peaks at about 16 bytes per level; the arrival products
-# hold one block at a time (N = 2**26: 1.1 GB peak, 3 s)
-_DIMENSION = ("at least 2 and at most 2**26, for rate arrays of about 1 GiB",
+# birth's rate check and arrival products hold one block of rates at a time,
+# so its peak does not grow with N (N = 2**26: 64 MB peak, 2.2 s for one lambda)
+_DIMENSION = ("at least 2 and at most 2**26, for about 2 s per lambda",
               lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:
 # nonstandard exponentiates one N x N block and makes 202 dense generator
@@ -213,7 +212,8 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     tail_tol = config.get("tail_tol", 1e-12)
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
-    rates.finite_mu_array(0, dim)
+    for start in range(0, dim, _PRODUCT_BLOCK):  # one block of rates at a time
+        rates.finite_mu_array(start, min(_PRODUCT_BLOCK, dim - start))
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
@@ -272,12 +272,9 @@ def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
 def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
-    reset_state = matrix_unit(0, 0, dim)
     report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
-    p11 = reset_contraction_report(
-        lambda l, x: birth_resolvent(rates, l, x), reset_state, lam)
     writer.json("nonstandard.json", {
-        "p11": p11,
+        "p11": report.base_defect,  # the defect of the reset state |0><0|
         "interior_max_deviation": report.interior_max_deviation,
         "reset_difference_trace_norm": report.reset_difference_trace_norm,
         "base_defect": report.base_defect,

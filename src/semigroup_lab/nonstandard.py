@@ -91,21 +91,6 @@ def conservativity_residual(gen: Callable[[np.ndarray], np.ndarray],
     return float(abs(1.0 - np.real(np.trace(evolved))))
 
 
-def reset_contraction_report(resolvent: Callable[[float, np.ndarray], np.ndarray],
-                             reset_state: np.ndarray, lam: float) -> float:
-    """The scalar p11 = 1 - lam tr R_lam(reset_state) of the reset
-    perturbation composed with the base resolvent.
-
-    P R_lam sends rho to (tr rho - lam tr R_lam rho) * reset_state, a rank-one
-    map whose powers act on the reset state as p11^k; |p11| < 1 makes it a
-    strict contraction and keeps the perturbed domain equal to the base one.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    state = as_operator(reset_state)
-    return float(np.real(1.0 - lam * np.trace(resolvent(lam, state))))
-
-
 def falsifier_report(rates: RateSequence, dim: int, lam: float = 1.0,
                      t: float = 1.0, seed: int = 0) -> FalsifierReport:
     """Collect the three numerical ingredients of non-standardness for the
@@ -115,7 +100,9 @@ def falsifier_report(rates: RateSequence, dim: int, lam: float = 1.0,
     (ii) g_hat differs from g by exactly the reset state on the diagonal
          band element, whose flux is one;
     (iii) the base semigroup loses normalization (positive defect) while the
-         reset semigroup preserves it.
+         reset semigroup preserves it.  The defect of the reset state is the
+         scalar p11: P R_lambda has rank one, and its powers act on the reset
+         state as p11^k.
     """
     spec = birth_generator(rates, dim)
     gen_hat = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, dim))

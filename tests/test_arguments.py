@@ -23,7 +23,6 @@ from semigroup_lab import (
     matrix_unit,
     n_event_laplace_term,
     no_event_resolvent,
-    reset_contraction_report,
     resolvent_direct,
     resolvent_series,
     sample_trajectories,
@@ -66,7 +65,6 @@ def identity_resolvent(lam, x):
     lambda: matrix_exponential_apply(SPEC, NAN, RHO),
     lambda: is_positive_semidefinite(RHO, tol=NAN),
     lambda: conservativity_residual(SPEC, RHO, NAN),
-    lambda: reset_contraction_report(identity_resolvent, RHO, NAN),
     lambda: apply_semigroup(KERNEL, NAN),
     lambda: apply_resolvent(KERNEL, NAN),
     lambda: trace_loss(KERNEL, NAN),

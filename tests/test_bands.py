@@ -70,9 +70,10 @@ class TestBandLayout:
 class TestDiagonalBandRoutes:
     @pytest.mark.parametrize("rates", [PolynomialRates(1.0, 2.0), GeometricRates(1.5)])
     def test_defect_matches_full_resolvent_trace(self, rates, rng):
+        # rho has no unit trace: the defect is tr rho - lam tr R rho
         dim, lam = 25, 0.7
         rho = random_operator(dim, rng)
-        full = 1.0 - lam * np.trace(birth_resolvent(rates, lam, rho)).real
+        full = (np.trace(rho) - lam * np.trace(birth_resolvent(rates, lam, rho))).real
         assert conservativity_defect(rates, lam, rho) == pytest.approx(full, abs=1e-12)
 
     def test_geometric_decay_matches_dense_resolvent(self, rng):

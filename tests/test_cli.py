@@ -129,6 +129,20 @@ class TestNonstandardSubcommand:
         assert report["reset_residual"] <= 1e-9
         assert report["base_defect"] > 0.1
 
+    def test_p11_is_the_tiny_base_defect(self, tmp_path):
+        # the loss of geom:1.01 at N=50, lambda=100 is 1.04e-95, which
+        # 1 - lambda tr R cancelled to 0; a 50-digit product is the oracle
+        mpmath = pytest.importorskip("mpmath")
+        code, out = run_cli(tmp_path, "nonstandard",
+                            {"rates": "geom:1.01", "N": 50, "lambda": 100, "t": 1})
+        assert code == 0
+        report = read_json(out / "nonstandard.json")
+        with mpmath.workdps(50):
+            expected = mpmath.fprod(1 / (1 + 100 / mpmath.mpf(1.01) ** j)
+                                    for j in range(50))
+        assert report["p11"] == report["base_defect"]
+        assert abs(report["p11"] - expected) <= 1e-12 * expected
+
 
 class TestDiffusionSubcommand:
     def test_summary_and_kernels(self, tmp_path):
@@ -374,7 +388,7 @@ class TestConfigRanges:
         assert _load_config(path, subcommand)["N"] == 107
 
     def test_birth_budget_admits_n_2_to_26(self, tmp_path):
-        # 1.1 GB peak at the limit; the config is only loaded
+        # 64 MB peak and 2.2 s at the limit; the config is only loaded
         path = write_config(tmp_path, {**BIRTH, "N": 2 ** 26})
         assert _load_config(path, "birth")["N"] == 2 ** 26
 
@@ -517,6 +531,17 @@ class TestNonFiniteOutput:
             warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "birth", {**BIRTH, "N": 1030})
         assert_clean_exit(capsys, code, 3, "numerical failure:")
+        assert not (out / "arrival.csv").exists()
+
+    def test_rate_check_names_the_level_past_its_first_block(self, tmp_path, capsys):
+        # the rates are checked one block of 2**16 at a time; 1.01**n
+        # overflows from n = 71333, in the second block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "birth",
+                                {"rates": "geom:1.01", "lambda": 1, "N": 100_000})
+        assert_clean_exit(capsys, code, 3,
+                          "numerical failure: refusing the non-finite rate mu_71333 ")
         assert not (out / "arrival.csv").exists()
 
     def test_overflowing_arrival_factors_exit_3(self, tmp_path, capsys):
