@@ -6,8 +6,8 @@ growing rates the escape defect vanishes as the truncation grows, while for
 geometric rates it converges to the positive arrival product.  The defect of
 the chain truncated at N is the partial arrival product over its N levels,
 printed in exponent format so that small defects show.  The product itself is
-known only to its bracket [lower, value], so defect - value is printed only
-where it exceeds the bracket width.
+known only to its bracket [value - width, value], so defect - value is printed
+only where it exceeds the bracket width.
 """
 
 import argparse
@@ -29,13 +29,14 @@ def main():
         rates = parse_rate_spec(spec_text)
         bracket = arrival_laplace(rates, args.lam)
         print(f"\nrates {spec_text}: arrival product in "
-              f"[{bracket.lower:.12g}, {bracket.value:.12g}] "
+              f"[{bracket.value - bracket.width:.12g}, {bracket.value:.12g}] "
               f"(bracket width {bracket.width:.1e})")
         print(f"{'N':>6}  {'defect(N)':>16}  {'defect - value':>22}")
         for dim in args.dims:
             defect = arrival_partial_product(rates, args.lam, 0, dim)
             gap = defect - bracket.value
-            # defect(N) >= product >= lower: a gap within the width resolves nothing
+            # defect(N) >= product >= value - width: a gap within the width
+            # resolves nothing
             column = f"{gap:.3e}" if gap > bracket.width else "within bracket width"
             print(f"{dim:>6}  {defect:>16.9e}  {column:>22}")
 

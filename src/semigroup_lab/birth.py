@@ -37,19 +37,19 @@ from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence, 
 # factors per block of the arrival product; bounds its temporaries to 512 kB
 _PRODUCT_BLOCK = 2 ** 16
 _MAX_FACTORS = 10 ** 7
+_NORMAL = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
 class ArrivalBracket:
-    """Truncated infinite product with a rigorous enclosure [lower, value]."""
+    """Truncated infinite product: the tail of exact factors left after
+    n_factors puts it in [value - width, value].  Not covered: the rounding
+    of the factors multiplied, which is not outward (poly:1:3 at lambda = 1
+    is high by 5.7e-12 relative against a width of 1.0e-12)."""
 
     value: float
-    lower: float
+    width: float
     n_factors: int
-
-    @property
-    def width(self) -> float:
-        return self.value - self.lower
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,20 @@ def _arrival_product(rates: RateSequence, lam: float, n_start: int,
                      count: int, floor: float) -> tuple[float, int]:
     """(product, factors multiplied) of 1/(1 + lambda/mu_j) from j = n_start, in
     order and in blocks, to `count` factors or the first partial product <= floor.
-    A rate that overflows is a factor of 1, a ratio that overflows a factor of 0."""
+    A rate that overflows is a factor of 1, a ratio that overflows a factor of 0.
+    Below the normal range each division can round back up to the smallest
+    subnormal, so a block that leaves it is finished from its last normal
+    partial product in one rounding."""
     _check_index(n_start, count)
     product = 1.0
     for done in range(0, count, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):
             ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
         partial = np.divide.accumulate(np.concatenate(([product], 1.0 + ratio)))[1:]
+        if partial[-1] < _NORMAL:  # the smallest partial product of the block
+            k = int(np.argmax(partial < _NORMAL))
+            start = partial[k - 1] if k else product
+            partial[k:] = start * np.exp(-np.cumsum(np.log1p(ratio[k:])))
         small = np.flatnonzero(partial <= floor)
         if small.size:
             return float(partial[small[0]]), done + int(small[0]) + 1
@@ -168,7 +175,7 @@ def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
 def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
                     tail_tol: float = 1e-12) -> ArrivalBracket:
     """Laplace transform of the arrival-at-infinity density, the infinite product
-    prod_{j >= n_start} 1/(1 + lambda/mu_j), enclosed in [lower, value].
+    prod_{j >= n_start} 1/(1 + lambda/mu_j), enclosed in [value - width, value].
 
     It is exactly 0 when sum_j 1/mu_j diverges (conservative case).  Otherwise
     factors are multiplied until the tail bound lambda * sum_{j >= J} 1/mu_j
@@ -181,7 +188,7 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     if lam == 0:
-        return ArrivalBracket(value=1.0, lower=1.0, n_factors=0)
+        return ArrivalBracket(value=1.0, width=0.0, n_factors=0)
     if isinstance(rates, ExplicitRates):
         count = len(rates.values) - n_start
         if count <= 0:
@@ -191,9 +198,9 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
             raise RateRangeError(f"explicit rate list too short: partial product "
                                  f"{product:.3e} over {count} factors leaves a tail "
                                  "that is not provably negligible")
-        return ArrivalBracket(value=product, lower=0.0, n_factors=count)
+        return ArrivalBracket(value=product, width=product, n_factors=count)
     if math.isinf(rates.inverse_tail(n_start)):
-        return ArrivalBracket(value=0.0, lower=0.0, n_factors=0)
+        return ArrivalBracket(value=0.0, width=0.0, n_factors=0)
     # the tail bound is non-increasing: bisect for the first certified count
     first = 1 + bisect.bisect_left(range(1, _MAX_FACTORS + 1), True, key=lambda k:
                                    lam * rates.inverse_tail(n_start + k) < tail_tol)
@@ -203,10 +210,10 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     if first <= _MAX_FACTORS or math.exp(-lam * rates.inverse_tail(n_start)) <= tail_tol:
         product, n_factors = _arrival_product(rates, lam, n_start, last, tail_tol)
         if product <= tail_tol:
-            return ArrivalBracket(value=product, lower=0.0, n_factors=n_factors)
+            return ArrivalBracket(value=product, width=product, n_factors=n_factors)
         if first <= _MAX_FACTORS:
-            lower = product * math.exp(-lam * rates.inverse_tail(n_start + last))
-            return ArrivalBracket(value=product, lower=lower, n_factors=last)
+            width = -product * math.expm1(-lam * rates.inverse_tail(n_start + last))
+            return ArrivalBracket(value=product, width=width, n_factors=last)
     raise RuntimeError(f"no certified bracket after {_MAX_FACTORS} factors")
 
 

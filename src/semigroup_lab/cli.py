@@ -57,8 +57,10 @@ _NUMBER = ("a finite number", lambda v: isinstance(v, (int, float))
            and not isinstance(v, bool) and _finite(v))
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STR = ("a string", lambda v: isinstance(v, str))
-_LAMBDAS = ("a finite number or a list of finite numbers",
-            lambda v: _NUMBER[1](v) or (isinstance(v, list) and v
+# each lambda is a full pass (birth poly:1:3 at N = 2**26: 2.6 s for one
+# lambda, 19.7 s for sixteen), so a list is bounded like N
+_LAMBDAS = ("a finite number or a list of at most 16 finite numbers",
+            lambda v: _NUMBER[1](v) or (isinstance(v, list) and 0 < len(v) <= 16
                                         and all(_NUMBER[1](x) for x in v)))
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
@@ -66,7 +68,7 @@ _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # birth's rate check and arrival products hold one block of rates at a time,
-# so its peak does not grow with N (N = 2**26: 64 MB peak, 2.2 s for one lambda)
+# so its peak does not grow with N (N = 2**26: 64 MB peak, 2.6 s for one lambda)
 _DIMENSION = ("at least 2 and at most 2**26, for about 2 s per lambda",
               lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:

@@ -49,7 +49,7 @@ def rates_from(rates, start, chunk=256):
 def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 7):
     """Reference: the factor-by-factor loop over a convergent rate family,
     checking the partial product and then the tail bound after each factor;
-    returns (value, lower, n_factors)."""
+    returns (value, width, n_factors)."""
     product = 1.0
     j = n_start
     mu = rates_from(rates, n_start)
@@ -57,16 +57,16 @@ def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 
         product /= 1.0 + lam / next(mu)
         j += 1
         if product <= tail_tol:
-            return product, 0.0, j - n_start
+            return product, product, j - n_start
         tail = lam * rates.inverse_tail(j)
         if tail < tail_tol:
-            return product, product * math.exp(-tail), j - n_start
+            return product, -product * math.expm1(-tail), j - n_start
     raise RuntimeError(f"no certified bracket after {max_factors} factors")
 
 
 def blocked_arrival(rates, lam, **kwargs):
     bracket = arrival_laplace(rates, lam, **kwargs)
-    return bracket.value, bracket.lower, bracket.n_factors
+    return bracket.value, bracket.width, bracket.n_factors
 
 
 # (rates, lambdas, n_start, tail_tol): the benchmark's configs and both exits,
@@ -230,7 +230,7 @@ class TestArrivalProduct:
         bracket = arrival_laplace(GEO, 1.0, tail_tol=1e-12)
         assert bracket.value > 0.2
         assert bracket.width <= 1e-10
-        assert 0.0 < bracket.lower <= bracket.value
+        assert 0.0 < bracket.value - bracket.width <= bracket.value
 
     def test_conservative_product_exactly_zero(self):
         # divergent sum of inverse rates certifies a vanishing product
@@ -247,7 +247,7 @@ class TestArrivalProduct:
         bracket = arrival_laplace(rates, 1.0, tail_tol=0.5)
         # the whole list is multiplied, and its bracket reaches down to 0
         assert bracket.n_factors == 40
-        assert bracket.lower == 0.0
+        assert bracket.width == bracket.value
         assert bracket.value == arrival_partial_product(rates, 1.0, 0, 40)
 
     def test_explicit_list_too_short(self):
@@ -274,8 +274,41 @@ class TestArrivalProduct:
                 blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
 
     def test_grid_reaches_both_exits(self):
-        assert sequential_arrival(GEO, 1.0)[1] > 0.0
-        assert sequential_arrival(GeometricRates(1.01), 1.0)[1] == 0.0
+        value, width, _ = sequential_arrival(GEO, 1.0)
+        assert 0.0 < width < value
+        # the benchmark's other tail-bound exits, whose widths the mpmath test checks
+        for rates, lam in [(GEO, 0.5), (GEO, 2.0), (GeometricRates(1.01), 0.25),
+                           (PolynomialRates(1.0, 3.0), 1.0)]:
+            value, width, _ = blocked_arrival(rates, lam)
+            assert 0.0 < width < value
+        value, width, _ = sequential_arrival(GeometricRates(1.01), 1.0)
+        assert width == value
+
+    @pytest.mark.parametrize("rates, lams, n_start, tail_tol", ARRIVAL_GRID)
+    def test_certified_width_matches_mpmath(self, rates, lams, n_start, tail_tol):
+        # the width value * (1 - exp(-lambda T)) of a tail-bound exit, T the
+        # inverse tail after the last factor, to 50 digits; as value - lower
+        # it was off by 2.0e-5 relative at geom:2, lambda = 0.5
+        mpmath = pytest.importorskip("mpmath")
+        for lam in lams:
+            bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
+            if bracket.width == bracket.value:  # the floor exit
+                continue
+            tail = rates.inverse_tail(n_start + bracket.n_factors)
+            with mpmath.workdps(50):
+                expected = bracket.value * -mpmath.expm1(-mpmath.mpf(lam) * tail)
+                assert abs(bracket.width - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("count", [1780, 1830, 1837, 1838, 3000])
+    def test_subnormal_product_is_the_nearest_double(self, count):
+        # (2/3)^count leaves the normal range at count 1750; dividing on by
+        # 1.5 stuck at the smallest subnormal, 5e-324, where the product is
+        # 2.2e-324 (count 1838) or 5.3e-529 (count 3000) and rounds to 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            expected = float((mpmath.mpf(2) / 3) ** count)
+        assert arrival_partial_product(ConstantRates(2.0), 1.0, 0, count) == expected
+        assert (expected == 0.0) == (count >= 1838)
 
     @pytest.mark.parametrize("rates", [GEO, GeometricRates(1.01)])
     def test_exit_tests_at_equality(self, monkeypatch, rates):

@@ -334,6 +334,20 @@ class TestConfigRanges:
         assert_clean_exit(capsys, code, 2, f"config error: {next(iter(change))} must be")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand, base", [
+        ("birth", BIRTH),
+        ("trajectory", {**TRAJECTORY, "horizon": 40.0, "max_jumps": 64})])
+    def test_lambda_list_holds_at_most_16_values(self, tmp_path, capsys,
+                                                 subcommand, base):
+        code, out = run_cli(tmp_path, subcommand,
+                            {**base, "lambda": list(range(1, 18))})
+        assert_clean_exit(capsys, code, 2, "config error: config key 'lambda' must be")
+        assert not out.exists()
+        code, out = run_cli(tmp_path, subcommand,
+                            {**base, "lambda": list(range(1, 17))})
+        assert code == 0
+        assert len(list(out.iterdir())) == 1
+
     def test_trajectory_start_admits_2_62_minus_1(self, tmp_path):
         path = write_config(tmp_path, {**TRAJECTORY, "n_start": 2 ** 62 - 1})
         assert _load_config(path, "trajectory")["n_start"] == 2 ** 62 - 1
