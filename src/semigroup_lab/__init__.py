@@ -30,7 +30,6 @@ from .diffusion import (
     apply_resolvent,
     apply_semigroup,
     diagonal_slope,
-    erfc,
     kernel_trace,
     support_extent,
     trace_loss,

@@ -22,11 +22,10 @@ def from_bands(low: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Inverse of to_bands: out[j+d, j] = low[j, d], out[j, j+d] = up[j, d]."""
     n = low.shape[0]
     out = np.zeros((n, n), dtype=np.result_type(low, up))
+    flat = out.reshape(-1)
     for d in range(n):
-        idx = np.arange(n - d)
-        out[idx + d, idx] = low[idx, d]
-        if d > 0:
-            out[idx, idx + d] = up[idx, d]
+        flat[d:(n - d) * (n + 1):n + 1] = up[:n - d, d]
+        flat[d * n::n + 1] = low[:n - d, d]
     return out
 
 

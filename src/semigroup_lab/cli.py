@@ -294,8 +294,8 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
-# grid budgets for a peak of about 2 GiB: diffusion holds about 11.5 float64
-# arrays of (M+1)**2 entries, shift-demo about 340 bytes per grid point
+# grid budgets for a peak of about 2 GiB: diffusion holds at most 8 float64
+# (M+1)**2 arrays (1.47 GB at 4729 points), shift-demo about 340 bytes per point
 _DIFFUSION_POINTS = 4729
 _SHIFT_POINTS = 2 ** 22
 

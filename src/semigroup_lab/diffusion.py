@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc as _scipy_erfc
+from scipy.special import erfc
 
 from .bands import from_bands, to_bands
 from .operators import NonFiniteError
@@ -117,15 +117,6 @@ class KernelGrid:
         return cls(X=X, h=h, values=values)
 
 
-def erfc(x):
-    """Complementary error function with exact reflection symmetry
-    erfc(-x) = 2 - erfc(x); underflows to 0 for large arguments."""
-    x = np.asarray(x, dtype=float)
-    tail = _scipy_erfc(np.abs(x))
-    out = np.where(x < 0, 2.0 - tail, tail)
-    return float(out) if out.ndim == 0 else out
-
-
 def support_extent(kernel: KernelGrid) -> float:
     """Largest coordinate (along either axis) carrying an entry above
     1e-12 * maxabs; 0 for an all-zero kernel."""
@@ -143,17 +134,24 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _apply_image_kernel(kernel: KernelGrid, f: Callable[[np.ndarray], np.ndarray],
+def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray],
                         scale: float) -> KernelGrid:
-    """Contract the image-kernel matrix (f(|m - xi|) - f(m + xi)) / scale
-    against the offset diagonals of the kernel; its rows vanish identically
-    at m = 0, which pins the absorbing boundary."""
+    """Contract the image-kernel matrix (e^{-near} - e^{-far}) / scale, with
+    near = a(|m - xi|) and far = a(m + xi), against the offset diagonals of the
+    kernel.  It is formed as e^{-near} (-expm1(near - far)) / scale, with no
+    cancelling difference; near = far at m = 0 makes that row exactly zero,
+    which pins the absorbing boundary."""
     x = kernel.x
-    profile = (f(np.abs(np.subtract.outer(x, x))) - f(np.add.outer(x, x))) / scale
-    weighted = profile * _trapezoid_weights(kernel.npoints, kernel.h)[None, :]
+    near = a(np.abs(np.subtract.outer(x, x)))
+    far = a(np.add.outer(x, x))
+    profile = np.expm1(np.subtract(near, far, out=far), out=far)
+    profile *= np.exp(np.negative(near, out=near), out=near)
+    del near
+    profile /= -scale
+    profile *= _trapezoid_weights(kernel.npoints, kernel.h)
     low, up = to_bands(kernel.values)
     return KernelGrid(X=kernel.X, h=kernel.h,
-                      values=from_bands(weighted @ low, weighted @ up))
+                      values=from_bands(profile @ low, profile @ up))
 
 
 def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
@@ -177,7 +175,7 @@ def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:
             f"tail control violated: X = {kernel.X:g} < support extent "
             f"{extent:g} + 8 sqrt(t) = {needed:g}"
         )
-    return _apply_image_kernel(kernel, lambda d: np.exp(-d ** 2 / (4.0 * t)),
+    return _apply_image_kernel(kernel, lambda d: d ** 2 / (4.0 * t),
                                2.0 * math.sqrt(math.pi * t))
 
 
@@ -192,7 +190,7 @@ def apply_resolvent(kernel: KernelGrid, lam: float) -> KernelGrid:
             f"h = {kernel.h:g}"
         )
     root = math.sqrt(lam)
-    return _apply_image_kernel(kernel, lambda d: np.exp(-root * d), 2.0 * root)
+    return _apply_image_kernel(kernel, lambda d: root * d, 2.0 * root)
 
 
 def kernel_trace(kernel: KernelGrid) -> float:

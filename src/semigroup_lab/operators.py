@@ -71,8 +71,8 @@ def is_positive_semidefinite(a: np.ndarray, tol: float = 0.0) -> bool:
         raise ValueError("tol must be nonnegative")
     if not is_selfadjoint(a):
         raise ValueError("is_positive_semidefinite requires a self-adjoint matrix")
-    lo = float(np.linalg.eigvalsh(a).min())
-    return lo >= -tol * max(1.0, trace_norm(a))
+    eig = np.linalg.eigvalsh(a)
+    return float(eig.min()) >= -tol * max(1.0, float(np.abs(eig).sum()))
 
 
 def rank_one(phi, psi) -> np.ndarray:

@@ -66,6 +66,21 @@ class TestBandLayout:
             assert np.array_equal(up[:5 - d, d], np.diagonal(a, offset=d))
             assert not low[5 - d:, d].any() and not up[5 - d:, d].any()
 
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_padding_rows_are_never_read(self, dim, rng):
+        # birth_resolvent leaves garbage below each band's last entry
+        a = random_operator(dim, rng)
+        low, up = to_bands(a)
+        for d in range(1, dim):
+            low[dim - d:, d] = up[dim - d:, d] = 1e300 + 1j
+        assert np.array_equal(from_bands(low, up), a)
+
+    def test_main_diagonal_comes_from_the_lower_bands(self, rng):
+        a = rng.standard_normal((4, 4))
+        low, up = to_bands(a)
+        up[:, 0] = np.nan
+        assert np.array_equal(from_bands(low, up), a)
+
 
 class TestDiagonalBandRoutes:
     @pytest.mark.parametrize("rates", [PolynomialRates(1.0, 2.0), GeometricRates(1.5)])

@@ -12,7 +12,6 @@ from semigroup_lab import (
     apply_resolvent,
     apply_semigroup,
     diagonal_slope,
-    erfc,
     kernel_trace,
     support_extent,
     trace_loss,
@@ -27,32 +26,44 @@ def bump_kernel(X=10.0, h=0.01, center=2.0, width=0.4):
     return KernelGrid.from_profile(bump_profile(center, width), X, h)
 
 
+def spike_loss(point, t=0.25, X=40.0, h=0.25):
+    """trace_loss of a kernel whose diagonal is one spike of value
+    1 / (trapezoid weight) at the grid point `point`: the erfc factor there.
+    With h a power of two and 2 sqrt(t) = 1 every step is exact, so this is
+    erfc(point) bit for bit."""
+    i = round(point / h)
+    values = np.zeros((round(X / h) + 1,) * 2)
+    values[i, i] = 2.0 / h if i == 0 else 1.0 / h
+    return trace_loss(KernelGrid(X=X, h=h, values=values), t)
+
+
 class TestErfc:
+    """The erfc(xi / 2 sqrt(t)) factor of trace_loss."""
+
     def test_at_zero(self):
-        assert erfc(0.0) == 1.0
+        assert spike_loss(0.0) == 1.0
 
     def test_reference_value(self):
         # high-precision reference computed from the continued-fraction
         # expansion (mpmath erfc(1))
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, abs=1e-15)
-
-    def test_exact_reflection_symmetry(self):
-        for x in (0.3, 1.7, 4.0, 26.0):
-            assert erfc(-x) == 2.0 - erfc(x)
+        assert spike_loss(1.0) == pytest.approx(0.15729920705028513, abs=1e-15)
 
     def test_moment_integral(self):
-        # int_0^inf x erfc(x) dx = 1/4, quadrature of this implementation
-        value, _ = quad(lambda x: x * erfc(x), 0.0, 30.0)
-        assert value == pytest.approx(0.25, abs=1e-8)
+        # int_0^inf xi erfc(xi / 2 sqrt(t)) dxi = t; the trapezoid error is
+        # -h^2 / 12 times the integrand's slope at 0, which is 1
+        t = 0.5
+        for h in (0.02, 0.01):
+            kernel = KernelGrid.from_profile(math.sqrt, 12.0, h)
+            assert trace_loss(kernel, t) - t == pytest.approx(-h ** 2 / 12, rel=1e-3)
 
     def test_underflow_to_zero(self):
-        assert erfc(40.0) == 0.0
+        assert spike_loss(40.0) == 0.0
 
     def test_accuracy_against_arbitrary_precision_oracle(self):
         import mpmath
-        x = np.linspace(0.0, 27.0, 301)
+        x = 0.25 * np.arange(109)
         ref = np.array([float(mpmath.erfc(v)) for v in x])
-        assert np.abs(erfc(x) - ref).max() <= 1e-10
+        assert np.abs([spike_loss(v) for v in x] - ref).max() <= 1e-10
 
 
 class TestKernelGrid:
@@ -310,6 +321,24 @@ class TestResolvent:
         kernel = bump_kernel(X=4.0, h=0.1, center=1.0, width=0.3)
         with pytest.raises(QuadratureError):
             apply_resolvent(kernel, 100.0)
+
+    def test_vanishing_lambda_slope_is_the_trace(self):
+        # as lam -> 0 the profile tends to min(m, xi), so the boundary slope
+        # of the resolvent diagonal is the trace of a kernel supported away
+        # from the boundary
+        kernel = bump_kernel(X=12.0, h=0.02)
+        slope = diagonal_slope(apply_resolvent(kernel, 1e-300))
+        assert slope == pytest.approx(kernel_trace(kernel), rel=1e-12)
+
+    def test_vanishing_lambda_matches_the_green_function(self):
+        # lam = 0 route with no exponential: trapezoid sum of
+        # min(x_m, xi) omega(xi, xi)
+        kernel = bump_kernel(X=12.0, h=0.02)
+        x, diag = kernel.x, np.diagonal(kernel.values)
+        ref = np.trapezoid(np.minimum.outer(x, x) * diag, dx=kernel.h, axis=1)
+        got = np.diagonal(apply_resolvent(kernel, 1e-300).values)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], ref[1:], rtol=1e-12, atol=0)
 
 
 class TestTraceLoss:
