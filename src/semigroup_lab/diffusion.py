@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from .bands import from_bands, to_bands
 from .operators import NonFiniteError
@@ -204,6 +203,8 @@ def trace_loss(kernel: KernelGrid, t: float) -> float:
     int erfc(xi / (2 sqrt(t))) omega(xi, xi) dxi."""
     if not t > 0:
         raise ValueError("t must be positive")
+    from scipy.special import erfc  # here, to keep it off the package's import time
+
     factor = erfc(kernel.x / (2.0 * math.sqrt(t)))
     return float(np.real(
         np.trapezoid(factor * np.diagonal(kernel.values), dx=kernel.h)))

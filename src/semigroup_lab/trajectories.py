@@ -44,7 +44,7 @@ class TrajectoryStreams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     jump_times: np.ndarray
     final_level: int
@@ -82,30 +82,29 @@ def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
     holding times of 0 up to the jump cap; it is refused with NonFiniteError
     naming its level.  Each chunk of rates, at the levels n_start + k*_CHUNK,
     comes from a bounded cache keyed by (rates, level, count), so `rates`
-    must be hashable.
+    must be hashable.  The jump times own their data: a trajectory that
+    stops inside a chunk keeps a copy of its prefix, not a view that would
+    hold the whole chunk alive.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     if max_jumps < 1:
         raise ValueError("max_jumps must be at least 1")
     parts = []
-    level = int(n_start)
-    t = 0.0
-    while level - n_start < max_jumps:
-        chunk = min(_CHUNK, max_jumps - (level - n_start))
-        mu = _rate_chunk(rates, level, chunk)
-        cum = t + np.cumsum(rng.standard_exponential(chunk) / mu)  # non-decreasing
-        n_in = int(np.searchsorted(cum, horizon, side="right"))
-        parts.append(cum[:n_in])
+    start = level = int(n_start)
+    while level - start < max_jumps:
+        chunk = min(_CHUNK, max_jumps - (level - start))
+        cum = (rng.standard_exponential(chunk) / _rate_chunk(rates, level, chunk)).cumsum()
+        if parts:
+            cum += parts[-1][-1]  # non-decreasing from the last jump time
+        n_in = int(cum.searchsorted(horizon, "right"))
         level += n_in
-        if n_in < chunk:
-            return TrajectorySample(jump_times=np.concatenate(parts),
-                                    final_level=level,
-                                    exploded_within_horizon=False,
-                                    horizon=horizon)
-        t = cum[-1]
-    return TrajectorySample(jump_times=np.concatenate(parts), final_level=level,
-                            exploded_within_horizon=True, horizon=horizon)
+        if n_in < chunk:  # stopped by the horizon
+            parts.append(cum[:n_in].copy())
+            break
+        parts.append(cum)
+    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return TrajectorySample(times, level, level - start == max_jumps, horizon)
 
 
 def sample_trajectories(rates: RateSequence, n_start: int, horizon: float,
@@ -129,34 +128,41 @@ def _mean_se(values: np.ndarray):
     return float(values.mean()), float(se)
 
 
-def empirical_laplace(samples: Sequence[TrajectorySample], lam: float,
-                      rates: RateSequence):
-    """Monte Carlo estimate of E[exp(-lambda T)] over explosion times T.
+def empirical_laplace(samples: Sequence[TrajectorySample],
+                      lams: Sequence[float], rates: RateSequence) -> list:
+    """Monte Carlo estimates of E[exp(-lambda T)] over explosion times T, one
+    per lambda of `lams`, from one pass over the samples.
 
     Trajectories stopped by the horizon contribute the one-sided upper bound
     exp(-lambda * horizon), per the estimator's contract.  Trajectories that
     hit the jump cap truncate the explosion time; their mean residual
     holding time (bounded by the inverse-rate tail) must stay below the
-    standard error, otherwise BiasCheckError is raised.
+    standard error at every lambda, otherwise BiasCheckError is raised.
 
-    Returns (mean, standard_error).
+    Returns [(mean, standard_error)], in the order of `lams`.
     """
-    if not lam >= 0:
+    lams = list(lams)
+    if not lams:
+        raise ValueError("no lambda")
+    if not all(lam >= 0 for lam in lams):
         raise ValueError("lambda must be nonnegative")
     ends = np.array([s.jump_times[-1] if s.exploded_within_horizon else s.horizon
                      for s in samples])
-    mean, se = _mean_se(np.exp(-lam * ends))
     # the unobserved tail of each truncated explosion time shifts
     # exp(-lam T) by at most lam * inverse_tail(final level)
     levels = Counter(s.final_level for s in samples if s.exploded_within_horizon)
-    bias = lam * sum(n * rates.inverse_tail(level)
-                     for level, n in levels.items()) / len(samples)
-    if lam > 0 and bias > max(se, 1e-15):
-        raise BiasCheckError(
-            f"truncation bias bound {bias:.3e} exceeds standard error {se:.3e}; "
-            "increase max_jumps or the horizon"
-        )
-    return mean, se
+    tail = sum(n * rates.inverse_tail(level) for level, n in levels.items())
+    estimates = []
+    for lam in lams:
+        mean, se = _mean_se(np.exp(-lam * ends))
+        bias = lam * tail / len(samples)
+        if lam > 0 and bias > max(se, 1e-15):
+            raise BiasCheckError(
+                f"truncation bias bound {bias:.3e} exceeds standard error {se:.3e}; "
+                "increase max_jumps or the horizon"
+            )
+        estimates.append((mean, se))
+    return estimates
 
 
 def n_event_laplace_term(rates: RateSequence, lam: float, k: int,

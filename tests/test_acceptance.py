@@ -136,7 +136,7 @@ def test_criterion_04_monte_carlo_vs_product():
     c = _Criterion(4, "Monte Carlo Laplace transform vs product formula", 10.0)
     streams = TrajectoryStreams(master_seed=MC_SEED)
     samples = sample_trajectories(GEO, 0, 50.0, 20, streams, 100_000)
-    mean, se = empirical_laplace(samples, 1.0, GEO)
+    [(mean, se)] = empirical_laplace(samples, [1.0], GEO)
     product = arrival_laplace(GEO, 1.0).value
     c.check(f"standard error {se:.2e} <= 1e-3", se <= 1e-3)
     c.check(f"|empirical - product| = {abs(mean - product):.2e} <= 3 SE",

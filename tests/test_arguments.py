@@ -52,7 +52,7 @@ def identity_resolvent(lam, x):
     lambda: geometric_band_decay(GEO, 1, NAN, np.diagonal(RHO, 1), [1]),
     lambda: no_event_resolvent(GEO, NAN, RHO),
     lambda: conservativity_defect(GEO, NAN, RHO),
-    lambda: empirical_laplace(SAMPLES, NAN, GEO),
+    lambda: empirical_laplace(SAMPLES, [NAN], GEO),
     lambda: event_count_estimator(SAMPLES, NAN, 1),
     lambda: n_event_laplace_term(GEO, NAN, 1, RHO),
     lambda: shift_arrival_density(np.ones(5), NAN),

@@ -377,7 +377,7 @@ class TestConfigRanges:
         ("diffusion", DIFFUSION, {"X": 1e300, "h": 1e-300}, "X / h = inf must be"),
         ("trajectory", TRAJECTORY, {"samples": 10 ** 5, "max_jumps": 1001},
          "samples * max_jumps must be at most 10**8"),
-        ("trajectory", TRAJECTORY, {"samples": 10 ** 9, "max_jumps": 10 ** 9},
+        ("trajectory", TRAJECTORY, {"samples": 10 ** 6, "max_jumps": 10 ** 9},
          "samples * max_jumps must be at most 10**8"),
         ("minimal", MINIMAL, {"N": 108}, "N must be at least 2 and at most 107"),
         ("nonstandard", NONSTANDARD, {"N": 400}, "N must be at least 2 and at most 107"),
@@ -387,6 +387,8 @@ class TestConfigRanges:
         ("shift-demo", SHIFT, {"X": 2.0 ** 22, "h": 1.0},
          "X / h = 4.1943e+06 must be at most 4194303"),
         ("shift-demo", SHIFT, {"X": 8.0, "h": 1e-8}, "X / h = 8e+08 must be at most"),
+        ("trajectory", TRAJECTORY, {"samples": 10 ** 6 + 1, "max_jumps": 1},
+         "samples must be at least 1 and at most 10**6"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, subcommand, base, change,
                                     message):
@@ -400,6 +402,11 @@ class TestConfigRanges:
         # the largest N the budget admits; the config is only loaded
         path = write_config(tmp_path, {**base, "N": 107})
         assert _load_config(path, subcommand)["N"] == 107
+
+    def test_trajectory_budget_admits_10_6_samples(self, tmp_path):
+        # 12.9 s and a 309 MB peak at the limit; the config is only loaded
+        path = write_config(tmp_path, {**TRAJECTORY, "samples": 10 ** 6, "max_jumps": 1})
+        assert _load_config(path, "trajectory")["samples"] == 10 ** 6
 
     def test_birth_budget_admits_n_2_to_26(self, tmp_path):
         # 64 MB peak and 2.2 s at the limit; the config is only loaded
@@ -683,3 +690,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "arrival.csv").exists()
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # only trace_loss needs erfc; every other subcommand skips its import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, semigroup_lab.cli; "
+             "print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

@@ -19,14 +19,38 @@ from semigroup_lab import (
     sample_trajectory,
     shift_arrival_density,
 )
-from semigroup_lab.rates import ConstantRates, GeometricRates, PolynomialRates
-from semigroup_lab.trajectories import _BLOCK, _rate_chunk
+from semigroup_lab.rates import ConstantRates, ExplicitRates, GeometricRates, \
+    PolynomialRates
+from semigroup_lab.trajectories import _BLOCK, _CHUNK, _rate_chunk
 
 GEO = GeometricRates(2.0)
 SEED = 20260810
 
 
 # per-sample loops: the reference the array estimators are checked against
+def loop_sample_trajectory(rates, n_start, horizon, max_jumps, rng):
+    """One trajectory, chunk by chunk, as a list of views joined at the end:
+    the reference for sample_trajectory's draws."""
+    parts = []
+    level = int(n_start)
+    t = 0.0
+    while level - n_start < max_jumps:
+        chunk = min(_CHUNK, max_jumps - (level - n_start))
+        mu = rates.finite_mu_array(level, chunk)
+        cum = t + np.cumsum(rng.standard_exponential(chunk) / mu)
+        n_in = int(np.searchsorted(cum, horizon, side="right"))
+        parts.append(cum[:n_in])
+        level += n_in
+        if n_in < chunk:
+            return TrajectorySample(jump_times=np.concatenate(parts),
+                                    final_level=level,
+                                    exploded_within_horizon=False,
+                                    horizon=horizon)
+        t = cum[-1]
+    return TrajectorySample(jump_times=np.concatenate(parts), final_level=level,
+                            exploded_within_horizon=True, horizon=horizon)
+
+
 def loop_empirical_laplace(samples, lam, rates):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -157,6 +181,40 @@ def same_trajectory(a, b):
             and a.exploded_within_horizon == b.exploded_within_horizon)
 
 
+LINEAR = PolynomialRates(1.0, 1.0)
+
+
+class TestSamplerMatchesLoop:
+    # (rates, n_start, horizon, max_jumps): jump caps around and past one
+    # chunk, horizons that stop linear rates inside the first, second and
+    # later chunks, no horizon at all, a later start and an explicit list
+    @pytest.mark.parametrize("rates, n_start, horizon, max_jumps", [
+        *[(GEO, 0, 50.0, m) for m in (1, 63, 64, 65, 130, 500)],
+        (LINEAR, 0, 2.0, 500),
+        (LINEAR, 0, 4.5, 500),
+        (LINEAR, 0, math.inf, 130),
+        (GEO, 7, 50.0, 130),
+        (ExplicitRates(tuple(1.0 + 0.5 * j for j in range(100))), 0, 4.0, 100),
+    ])
+    def test_same_draws_as_the_loop(self, rates, n_start, horizon, max_jumps):
+        seed = TrajectoryStreams(master_seed=SEED)
+        rng, ref_rng = seed.stream(0), seed.stream(0)
+        for _ in range(200):
+            s = sample_trajectory(rates, n_start, horizon, max_jumps, rng)
+            ref = loop_sample_trajectory(rates, n_start, horizon, max_jumps, ref_rng)
+            assert same_trajectory(s, ref)
+            assert s.horizon == ref.horizon and type(s.final_level) is int
+            # a view of a longer chunk would keep that whole chunk alive, and
+            # a record with a __dict__ would cost one more object per sample
+            assert s.jump_times.flags.owndata and not hasattr(s, "__dict__")
+
+    def test_horizon_stops_inside_the_first_and_second_chunk(self):
+        rng = TrajectoryStreams(master_seed=SEED).stream(0)
+        stops = {sample_trajectory(LINEAR, 0, 4.5, 500, rng).final_level // _CHUNK
+                 for _ in range(200)}
+        assert {0, 1} <= stops
+
+
 class TestBlockStreams:
     def test_prefix_stable_across_counts(self):
         streams = TrajectoryStreams(master_seed=SEED)
@@ -185,13 +243,13 @@ class TestEmpiricalLaplace:
     def test_lambda_zero_exact(self):
         streams = TrajectoryStreams(master_seed=3)
         samples = sample_trajectories(GEO, 0, 20.0, 16, streams, 100)
-        mean, se = empirical_laplace(samples, 0.0, GEO)
+        [(mean, se)] = empirical_laplace(samples, [0.0], GEO)
         assert mean == 1.0
 
     def test_matches_product_formula(self):
         streams = TrajectoryStreams(master_seed=SEED)
         samples = sample_trajectories(GEO, 0, 50.0, 20, streams, 50_000)
-        mean, se = empirical_laplace(samples, 1.0, GEO)
+        [(mean, se)] = empirical_laplace(samples, [1.0], GEO)
         product = arrival_laplace(GEO, 1.0).value
         assert se <= 1.5e-3
         assert abs(mean - product) <= 3.0 * se
@@ -203,25 +261,34 @@ class TestEmpiricalLaplace:
         streams = TrajectoryStreams(master_seed=4)
         samples = sample_trajectories(rates, 0, 6.0, 4000, streams, 200)
         assert not any(s.exploded_within_horizon for s in samples)
-        mean, _ = empirical_laplace(samples, 1.0, rates)
+        [(mean, _)] = empirical_laplace(samples, [1.0], rates)
         assert mean == pytest.approx(math.exp(-6.0), abs=1e-15)
 
     def test_bias_check_rejects_short_runs(self):
         streams = TrajectoryStreams(master_seed=6)
         samples = sample_trajectories(GEO, 0, 50.0, 3, streams, 500)
         with pytest.raises(BiasCheckError):
-            empirical_laplace(samples, 1.0, GEO)
+            empirical_laplace(samples, [1.0], GEO)
 
     def test_standard_error_scaling(self):
         # quadrupling the sample count halves the standard error (within 20%)
         streams = TrajectoryStreams(master_seed=SEED)
         samples = sample_trajectories(GEO, 0, 50.0, 16, streams, 40_000)
-        _, se_small = empirical_laplace(samples[:10_000], 1.0, GEO)
-        _, se_large = empirical_laplace(samples, 1.0, GEO)
+        [(_, se_small)] = empirical_laplace(samples[:10_000], [1.0], GEO)
+        [(_, se_large)] = empirical_laplace(samples, [1.0], GEO)
         assert se_large == pytest.approx(0.5 * se_small, rel=0.2)
 
 
 EPS = np.finfo(float).eps
+
+
+def bias_message(estimator, samples, lam):
+    """The BiasCheckError message of one estimate, or None if it passes."""
+    try:
+        estimator(samples, lam, GEO)
+    except BiasCheckError as exc:
+        return str(exc)
+    return None
 
 
 class TestArrayEstimators:
@@ -229,27 +296,45 @@ class TestArrayEstimators:
     # move by a few eps (eps / lambda for an event-count difference)
     def test_empirical_laplace_matches_loop(self):
         samples = mixed_samples()
-        for lam in (0.0, 0.3, 1.0, 2.0):
-            mean, se = empirical_laplace(samples, lam, GEO)
+        lams = (0.0, 0.3, 1.0, 2.0)
+        estimates = empirical_laplace(samples, lams, GEO)
+        assert len(estimates) == len(lams)
+        for lam, (mean, se) in zip(lams, estimates):
             ref_mean, ref_se = loop_empirical_laplace(samples, lam, GEO)
             assert mean == pytest.approx(ref_mean, rel=1e-15, abs=4 * EPS)
             assert se == pytest.approx(ref_se, rel=1e-15, abs=4 * EPS)
 
+    def test_lambda_list_matches_one_call_per_lambda(self):
+        # bit for bit: the gather over the samples is shared, not the values
+        samples = mixed_samples()
+        lams = [2.0, 0.0, 0.3, 1.0]
+        assert empirical_laplace(samples, lams, GEO) == [
+            empirical_laplace(samples, [lam], GEO)[0] for lam in lams]
+
     def test_bias_check_matches_loop(self):
-        # the loop oracle raises for the shortest jump caps only
+        # the loop oracle raises for the shortest jump caps and the largest
+        # lambdas only; a list raises the message of its first failing lambda
         streams = TrajectoryStreams(master_seed=6)
+        lams = [0.0, 0.5, 1.0, 4.0]
         raised = []
         for max_jumps in range(3, 13):
             samples = sample_trajectories(GEO, 0, 50.0, max_jumps, streams, 500)
-            outcomes = []
-            for estimator in (loop_empirical_laplace, empirical_laplace):
-                try:
-                    outcomes.append(estimator(samples, 1.0, GEO))
-                except BiasCheckError:
-                    outcomes.append(None)
-            assert (outcomes[0] is None) == (outcomes[1] is None), max_jumps
-            raised.append(outcomes[0] is None)
-        assert raised[0] and not raised[-1]
+            messages = [bias_message(empirical_laplace, samples, [lam]) for lam in lams]
+            for lam, message in zip(lams, messages):
+                loop = bias_message(loop_empirical_laplace, samples, lam)
+                assert (loop is None) == (message is None), (max_jumps, lam)
+            first = next((m for m in messages if m is not None), None)
+            assert bias_message(empirical_laplace, samples, lams) == first
+            raised.append([m is not None for m in messages])
+        assert raised[0] == [False, True, True, True]
+        assert raised[-1] == [False, False, False, True]
+
+    def test_lambda_list_is_checked(self):
+        samples = mixed_samples()
+        with pytest.raises(ValueError, match="no lambda"):
+            empirical_laplace(samples, [], GEO)
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            empirical_laplace(samples, [1.0, math.nan], GEO)
 
     def test_bias_bound_reads_one_tail_per_final_level(self, monkeypatch):
         samples = mixed_samples()
@@ -261,7 +346,7 @@ class TestArrayEstimators:
             return tail(rates, start)
 
         monkeypatch.setattr(GeometricRates, "inverse_tail", counted)
-        empirical_laplace(samples, 1.0, GEO)
+        empirical_laplace(samples, [0.5, 1.0, 2.0], GEO)
         assert sorted(levels) == [12, 14, 17]
 
     def test_event_count_matches_loop(self):
@@ -275,10 +360,10 @@ class TestArrayEstimators:
 
     def test_single_sample_and_empty_input(self):
         sample = mixed_samples()[-1:]
-        assert empirical_laplace(sample, 1.0, GEO)[1] == 0.0
+        assert empirical_laplace(sample, [1.0], GEO)[0][1] == 0.0
         assert event_count_estimator(sample, 1.0, 2)[1] == 0.0
         with pytest.raises(ValueError, match="no samples"):
-            empirical_laplace([], 1.0, GEO)
+            empirical_laplace([], [1.0], GEO)
         with pytest.raises(ValueError, match="no samples"):
             event_count_estimator([], 1.0, 0)
         with pytest.raises(ValueError, match="k must be nonnegative"):
