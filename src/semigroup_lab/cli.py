@@ -300,8 +300,10 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
-# grid budgets for a peak of about 2 GiB: diffusion holds at most 8 float64
-# (M+1)**2 arrays (1.47 GB at 4729 points), shift-demo about 340 bytes per point
+# grid budgets for a peak of about 2 GiB: diffusion holds at most 6 float64
+# (M+1)**2 arrays (1.12 GB at 4729 points), shift-demo about 340 bytes per
+# point.  The diffusion cap is also a time budget: a bitwise-symmetric kernel
+# (bump) takes one matrix product per quadrature, any other csv: kernel two
 _DIFFUSION_POINTS = 4729
 _SHIFT_POINTS = 2 ** 22
 

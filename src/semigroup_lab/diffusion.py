@@ -10,8 +10,10 @@ is antisymmetrized around the origin in the integration variable,
 
 and similarly for the resolvent with the two-sided exponential profile.  The
 integration variable only ever shifts indices along diagonals, so one
-evaluation costs two dense matrix products: the image-kernel matrix times
-the matrix of offset diagonals of w.
+evaluation is a dense matrix product: the image-kernel matrix times the
+matrix of offset diagonals of w, one product per triangle.  A kernel equal
+to its transpose bit for bit, as a real product kernel phi(x) phi(y) is,
+has equal triangles and needs one product; any other kernel takes two.
 
 All quadrature is composite trapezoid on the shared grid; the kernel is read
 as zero beyond the grid, which requires the input's numerical support to
@@ -95,8 +97,7 @@ class KernelGrid:
             rows = (",".join(repr(v).strip("()") for v in row.tolist()) + "\n"
                     for row in self.values)
         else:
-            fmt = ",".join(["%.17g"] * self.npoints) + "\n"
-            rows = (fmt % tuple(row.tolist()) for row in self.values.real)
+            rows = _real_rows(self.values.real)
         with open(path, "w", newline="") as fh:
             if header is not None:
                 fh.write(header.rstrip("\n") + "\n")
@@ -114,6 +115,38 @@ class KernelGrid:
         if not np.any(values.imag):
             values = values.real
         return cls(X=X, h=h, values=values)
+
+
+def _bitwise_symmetric(values: np.ndarray) -> bool:
+    """values equals its transpose bit for bit, so -0.0 and 0.0 differ; a
+    complex grid is compared part by part, in any memory order."""
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    return all(np.array_equal(bits, bits.T)
+               for bits in (part.view(np.int64) for part in parts))
+
+
+def _real_rows(values: np.ndarray):
+    """The CSV lines of a real grid, each cell %.17g and formatted once.
+
+    A grid equal to its transpose bit for bit (so -0 stays where it sits)
+    formats only its upper triangle: row i's first i cells are those formatted
+    for column i in the rows above, each kept until row i is written, so at
+    most about n**2 / 4 cells are held.  Any other grid is formatted a row at
+    a time."""
+    n = values.shape[0]
+    if not _bitwise_symmetric(values):
+        fmt = ",".join(["%.17g"] * n) + "\n"
+        for row in values:
+            yield fmt % tuple(row.tolist())
+        return
+    cell = "%.17g,"
+    template = cell * n
+    pending = []  # per row above, its cells still to be written, last column first
+    for i in range(n):
+        cells = (template[len(cell) * i:] % tuple(values[i, i:].tolist())).split(",")
+        cells.pop()  # the empty field after the last comma
+        yield ",".join([*map(list.pop, pending), *cells]) + "\n"
+        pending.append(cells[:0:-1])  # right of the diagonal, last column first
 
 
 def support_extent(kernel: KernelGrid) -> float:
@@ -139,7 +172,10 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
     near = a(|m - xi|) and far = a(m + xi), against the offset diagonals of the
     kernel.  It is formed as e^{-near} (-expm1(near - far)) / scale, with no
     cancelling difference; near = far at m = 0 makes that row exactly zero,
-    which pins the absorbing boundary."""
+    which pins the absorbing boundary.
+
+    A kernel equal to its transpose bit for bit has equal bands, so one
+    product serves both and the result is symmetric by construction."""
     x = kernel.x
     near = a(np.abs(np.subtract.outer(x, x)))
     far = a(np.add.outer(x, x))
@@ -148,9 +184,15 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
     del near
     profile /= -scale
     profile *= _trapezoid_weights(kernel.npoints, kernel.h)
+    symmetric = _bitwise_symmetric(kernel.values)
     low, up = to_bands(kernel.values)
-    return KernelGrid(X=kernel.X, h=kernel.h,
-                      values=from_bands(profile @ low, profile @ up))
+    lower = profile @ low
+    # each band goes once multiplied, so at most five n x n arrays, the input
+    # among them, are alive here at once
+    del low
+    upper = lower if symmetric else profile @ up
+    del profile, up
+    return KernelGrid(X=kernel.X, h=kernel.h, values=from_bands(lower, upper))
 
 
 def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:

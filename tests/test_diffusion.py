@@ -16,6 +16,7 @@ from semigroup_lab import (
     support_extent,
     trace_loss,
 )
+from semigroup_lab.bands import from_bands, to_bands
 
 
 def bump_profile(center=2.0, width=0.4):
@@ -160,6 +161,18 @@ def _random_grid(dtype):
     return KernelGrid(X=4.0, h=0.1, values=values)
 
 
+def _mirrored(values):
+    """values with its upper triangle copied below the diagonal, bit for bit."""
+    return np.where(np.triu(np.ones(values.shape, dtype=bool)), values, values.T)
+
+
+def _mirrored_signed_zero():
+    """Symmetric but for a signed zero: 0.0 at (1, 2), -0.0 at (2, 1)."""
+    values = _mirrored(np.resize(np.asarray(EDGE_REALS), (4, 4)))
+    values[1, 2], values[2, 1] = 0.0, -0.0
+    return KernelGrid(X=1.5, h=0.5, values=values)
+
+
 WRITER_GRIDS = {
     "real edge values": lambda: _edge_grid(EDGE_REALS),
     "complex signed zeros": lambda: _edge_grid(
@@ -172,6 +185,17 @@ WRITER_GRIDS = {
     "integer metadata": lambda: KernelGrid(X=3, h=1, values=np.eye(4)),
     "random real": lambda: _random_grid(float),
     "random complex": lambda: _random_grid(complex),
+    "symmetric random real": lambda: KernelGrid(
+        X=4.0, h=0.1, values=_mirrored(_random_grid(float).values)),
+    "symmetric edge values": lambda: KernelGrid(
+        X=2.5, h=0.5, values=_mirrored(np.resize(np.asarray(EDGE_REALS), (6, 6)))),
+    "mirrored signed zero": _mirrored_signed_zero,
+    "symmetric complex dtype, zero imaginary": lambda: KernelGrid(
+        X=2.5, h=0.5, values=_mirrored(np.resize(np.asarray(
+            [complex(v, -0.0 if i % 2 else 0.0) for i, v in enumerate(EDGE_REALS)]),
+            (6, 6)))),
+    "two points": lambda: KernelGrid(X=0.5, h=0.5,
+                                     values=[[1 / 3, -0.0], [-0.0, 2.5]]),
 }
 
 
@@ -199,6 +223,63 @@ class TestKernelWriter:
         fields = csv_fields(tmp_path / "kernel.csv")
         assert {"1j", "-1j", "-0-1j", "-0j", "-0+0j", "-0-0j"} <= set(fields)
         assert not any("(" in f or ")" in f for f in fields)
+
+
+def two_product_contraction(kernel, a, scale):
+    """The image-kernel contraction with one product per band, as it was
+    before a symmetric kernel shared one product: oracle for the semigroup
+    and resolvent quadratures, which must match it bit for bit."""
+    x, n, h = kernel.x, kernel.npoints, kernel.h
+    near = a(np.abs(np.subtract.outer(x, x)))
+    far = a(np.add.outer(x, x))
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = 0.5 * h
+    profile = np.expm1(near - far) * np.exp(-near) / -scale * weights
+    low, up = to_bands(kernel.values)
+    return from_bands(profile @ low, profile @ up)
+
+
+def _one_ulp_off(kernel):
+    values = kernel.values.copy()
+    values[100, 110] = np.nextafter(values[100, 110], np.inf)
+    return KernelGrid(X=kernel.X, h=kernel.h, values=values)
+
+
+QUADRATURE_KERNELS = {
+    "symmetric": lambda: bump_kernel(X=8.0, h=0.02),
+    "one ulp off symmetric": lambda: _one_ulp_off(bump_kernel(X=8.0, h=0.02)),
+    "complex symmetric": lambda: KernelGrid(
+        X=8.0, h=0.02, values=(1.0 + 0.5j) * bump_kernel(X=8.0, h=0.02).values),
+    "complex symmetric, column-major": lambda: KernelGrid(
+        X=8.0, h=0.02, values=((1.0 + 0.5j) * bump_kernel(X=8.0, h=0.02).values).T),
+    "hermitian": lambda: KernelGrid.from_profile(
+        lambda x: (1.0 + 0.5j * x) * bump_profile()(x), 8.0, 0.02),
+}
+
+QUADRATURES = {
+    "semigroup": (lambda kernel: apply_semigroup(kernel, 0.1),
+                  lambda d: d ** 2 / (4.0 * 0.1), 2.0 * math.sqrt(math.pi * 0.1)),
+    "resolvent": (lambda kernel: apply_resolvent(kernel, 2.25),
+                  lambda d: 1.5 * d, 2.0 * 1.5),
+}
+
+
+class TestImageKernelContraction:
+    @pytest.mark.parametrize("quadrature", QUADRATURES)
+    @pytest.mark.parametrize("name", QUADRATURE_KERNELS)
+    def test_bits_match_two_product_contraction(self, name, quadrature):
+        kernel = QUADRATURE_KERNELS[name]()
+        apply, a, scale = QUADRATURES[quadrature]
+        got = apply(kernel).values
+        want = two_product_contraction(kernel, a, scale)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("quadrature", QUADRATURES)
+    @pytest.mark.parametrize("name", ["symmetric", "complex symmetric",
+                                      "complex symmetric, column-major"])
+    def test_symmetric_kernel_gives_symmetric_bits(self, name, quadrature):
+        got = QUADRATURES[quadrature][0](QUADRATURE_KERNELS[name]()).values
+        assert got.tobytes() == got.T.copy().tobytes()
 
 
 class TestSemigroup:
