@@ -302,8 +302,10 @@ def _spec_numbers(spec_text: str, fields) -> list:
 
 # grid budgets for a peak of about 2 GiB: diffusion holds at most 6 float64
 # (M+1)**2 arrays (1.12 GB at 4729 points), shift-demo about 340 bytes per
-# point.  The diffusion cap is also a time budget: a bitwise-symmetric kernel
-# (bump) takes one matrix product per quadrature, any other csv: kernel two
+# point.  A csv: kernel loads within it, at about 25 bytes per cell (33 if
+# complex): 0.59 GB resident for a real one at 4729 points.  The diffusion
+# cap is also a time budget: a bitwise-symmetric kernel (bump) takes one
+# matrix product per quadrature, any other csv: kernel two
 _DIFFUSION_POINTS = 4729
 _SHIFT_POINTS = 2 ** 22
 

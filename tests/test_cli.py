@@ -508,6 +508,17 @@ class TestSpecParsing:
         assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("text", ["4,0.05\n", "4,0.05\n\n# no values\n\n#\n"])
+    def test_kernel_csv_without_values_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "kernel.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "diffusion",
+                                {**DIFFUSION, "kernel": f"csv:{path}"})
+        assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("text", ["1e999,0.5\n1\n", "1e300,1e-300\n1\n"])
     def test_non_finite_kernel_csv_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "kernel.csv"

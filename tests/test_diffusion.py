@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ class TestKernelGrid:
         back = KernelGrid.from_csv(path)
         assert np.allclose(back.values, grid.values, rtol=0, atol=0)
 
+    def test_csv_comments_only_at_line_start(self, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text("# header\n\n0.5,0.5\n# between rows\n1,2\n\n3,4j\n")
+        assert KernelGrid.from_csv(path).values.tolist() == [[1, 2], [3, 4j]]
+        path.write_text("0.5,0.5\n1,2 # note\n3,4\n")
+        with pytest.raises(ValueError):
+            KernelGrid.from_csv(path)
+
     def test_support_extent(self):
         values = np.zeros((11, 11))
         values[3, 5] = 1.0
@@ -223,6 +232,42 @@ class TestKernelWriter:
         fields = csv_fields(tmp_path / "kernel.csv")
         assert {"1j", "-1j", "-0-1j", "-0j", "-0+0j", "-0-0j"} <= set(fields)
         assert not any("(" in f or ")" in f for f in fields)
+
+    @pytest.mark.parametrize("name", WRITER_GRIDS)
+    def test_csv_round_trip_is_bitwise(self, tmp_path, name):
+        """from_csv reads back every bit to_csv wrote, -0.0 and subnormals
+        included; a grid written as real loads as real."""
+        grid = WRITER_GRIDS[name]()
+        grid.to_csv(tmp_path / "kernel.csv")
+        back = KernelGrid.from_csv(tmp_path / "kernel.csv")
+        written = grid.values if np.any(grid.values.imag) else grid.values.real
+        assert (back.X, back.h) == (grid.X, grid.h)
+        assert back.values.dtype == written.dtype
+        assert np.array_equal(bits(back.values), bits(written))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_csv_load_peak_memory(self, tmp_path, dtype):
+        """At most 40 bytes of traced peak memory per cell: a Python object
+        per cell takes over 100."""
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((201, 201)).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal((201, 201))
+        KernelGrid(X=2.0, h=0.01, values=values).to_csv(tmp_path / "kernel.csv")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            KernelGrid.from_csv(tmp_path / "kernel.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 201 ** 2
+
+
+def bits(values):
+    """The int64 view of a float or complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 def two_product_contraction(kernel, a, scale):
