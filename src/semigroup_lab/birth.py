@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import band_solve, from_bands, to_bands
+from .bands import band_solve, map_bands
 from .generators import StandardGeneratorSpec
 from .operators import as_operator
 from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence, _check_index
@@ -123,14 +123,12 @@ def birth_resolvent(rates: RateSequence, lam: float, rho: np.ndarray) -> np.ndar
     level = np.arange(dim)
     # row i of band d sits at levels (i, i + d); padding rows get a clamped level
     mu_m = mu[np.minimum(level[:, None] + level, dim - 1)]
-    x = _solve_bands(lam, mu[:, None, None], mu_m[:, None],
-                     np.stack(to_bands(rho), axis=1))
-    return from_bands(x[:, 0], x[:, 1])
+    return map_bands(rho, lambda bands: _solve_bands(lam, mu[:, None], mu_m, bands))
 
 
 def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
                  source: np.ndarray) -> np.ndarray:
-    """Solve (lambda - G) X = source down axis 0 of a band stack whose row i
+    """Solve (lambda - G) X = source down axis 0 of a band array whose row i
     holds the levels with rates (mu_n, mu_m), one level above row i - 1."""
     # sqrt before multiplying: mu_n*mu_m overflows long before sqrt*sqrt
     weight = np.roll(np.sqrt(mu_n) * np.sqrt(mu_m), 1, axis=0)
@@ -143,18 +141,23 @@ def _arrival_product(rates: RateSequence, lam: float, n_start: int,
     order and in blocks, to `count` factors or the first partial product <= floor.
     A rate that overflows is a factor of 1, a ratio that overflows a factor of 0.
     Below the normal range each division can round back up to the smallest
-    subnormal, so a block that leaves it is finished from its last normal
-    partial product in one rounding."""
+    subnormal, so every partial product below it is formed in one rounding from
+    the last normal one and the running log1p sum of the factors after it,
+    which both carry across blocks."""
     _check_index(n_start, count)
-    product = 1.0
+    product = normal = 1.0
+    log_sum = 0.0
     for done in range(0, count, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):
             ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
         partial = np.divide.accumulate(np.concatenate(([product], 1.0 + ratio)))[1:]
         if partial[-1] < _NORMAL:  # the smallest partial product of the block
             k = int(np.argmax(partial < _NORMAL))
-            start = partial[k - 1] if k else product
-            partial[k:] = start * np.exp(-np.cumsum(np.log1p(ratio[k:])))
+            if product >= _NORMAL:  # the block leaves the normal range
+                normal, log_sum = (partial[k - 1] if k else product), 0.0
+            sums = log_sum + np.cumsum(np.log1p(ratio[k:]))
+            partial[k:] = normal * np.exp(-sums)
+            log_sum = sums[-1]
         small = np.flatnonzero(partial <= floor)
         if small.size:
             return float(partial[small[0]]), done + int(small[0]) + 1

@@ -300,13 +300,20 @@ def _spec_numbers(spec_text: str, fields) -> list:
     return values
 
 
-# grid budgets for a peak of about 2 GiB: diffusion holds at most 6 float64
-# (M+1)**2 arrays (1.12 GB at 4729 points), shift-demo about 340 bytes per
-# point.  A csv: kernel loads within it, at about 25 bytes per cell (33 if
-# complex): 0.59 GB resident for a real one at 4729 points.  The diffusion
-# cap is also a time budget: a bitwise-symmetric kernel (bump) takes one
-# matrix product per quadrature, any other csv: kernel two
+# grid budgets for a peak of about 2 GiB.  At its peak diffusion holds the
+# kernel, the evolved kernel, the image profile, the band array being
+# multiplied and the products so far: 5 float64 (M+1)**2 arrays for a
+# bitwise-symmetric kernel such as bump, which maps one band array (0.95 GB
+# resident and a 1.18 GB address space at 4729 points), 6 for any other real
+# kernel, which maps two and so takes two matrix products per quadrature.  A
+# csv: kernel loads within it, at about 25 bytes per cell (33 if complex):
+# 0.59 GB resident for a real one at 4729 points.  A complex kernel's arrays
+# are twice as large and each product casts the profile to complex, about 13
+# float64 arrays: the hermitian (1 + 0.5j x) bump(x) kernel peaks at 1.81 GB
+# resident and a 2048 MiB address space at 4168 points (2049 MiB at 4169).
+# shift-demo takes about 340 bytes per point
 _DIFFUSION_POINTS = 4729
+_COMPLEX_DIFFUSION_POINTS = 4168
 _SHIFT_POINTS = 2 ** 22
 
 
@@ -358,6 +365,9 @@ def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
     t, lam = float(config["t"]), float(config["lambda"])
     x = _grid(X, h, _DIFFUSION_POINTS)
     kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h, x)
+    if np.iscomplexobj(kernel.values) and kernel.npoints > _COMPLEX_DIFFUSION_POINTS:
+        raise ConfigError(f"a complex kernel takes at most {_COMPLEX_DIFFUSION_POINTS} "
+                          f"points a side, not {kernel.npoints}")
     evolved = apply_semigroup(kernel, t)
     resolved = apply_resolvent(kernel, lam)
     before, after = kernel_trace(kernel), kernel_trace(evolved)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bands import from_bands, to_bands
+from .bands import bitwise_symmetric, map_bands
 from .operators import NonFiniteError
 
 
@@ -132,14 +132,6 @@ class KernelGrid:
         return cls(X=X, h=h, values=values)
 
 
-def _bitwise_symmetric(values: np.ndarray) -> bool:
-    """values equals its transpose bit for bit, so -0.0 and 0.0 differ; a
-    complex grid is compared part by part, in any memory order."""
-    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-    return all(np.array_equal(bits, bits.T)
-               for bits in (part.view(np.int64) for part in parts))
-
-
 def _real_rows(values: np.ndarray):
     """The CSV lines of a real grid, each cell %.17g and formatted once.
 
@@ -149,7 +141,7 @@ def _real_rows(values: np.ndarray):
     most about n**2 / 4 cells are held.  Any other grid is formatted a row at
     a time."""
     n = values.shape[0]
-    if not _bitwise_symmetric(values):
+    if not bitwise_symmetric(values):
         fmt = ",".join(["%.17g"] * n) + "\n"
         for row in values:
             yield fmt % tuple(row.tolist())
@@ -189,8 +181,9 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
     cancelling difference; near = far at m = 0 makes that row exactly zero,
     which pins the absorbing boundary.
 
-    A kernel equal to its transpose bit for bit has equal bands, so one
-    product serves both and the result is symmetric by construction."""
+    Each band array of the kernel is multiplied once (map_bands): one for a
+    kernel equal to its transpose bit for bit, whose result is then symmetric
+    by construction, and two for any other."""
     x = kernel.x
     near = a(np.abs(np.subtract.outer(x, x)))
     far = a(np.add.outer(x, x))
@@ -199,15 +192,8 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
     del near
     profile /= -scale
     profile *= _trapezoid_weights(kernel.npoints, kernel.h)
-    symmetric = _bitwise_symmetric(kernel.values)
-    low, up = to_bands(kernel.values)
-    lower = profile @ low
-    # each band goes once multiplied, so at most five n x n arrays, the input
-    # among them, are alive here at once
-    del low
-    upper = lower if symmetric else profile @ up
-    del profile, up
-    return KernelGrid(X=kernel.X, h=kernel.h, values=from_bands(lower, upper))
+    return KernelGrid(X=kernel.X, h=kernel.h,
+                      values=map_bands(kernel.values, lambda bands: profile @ bands))
 
 
 def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:

@@ -42,7 +42,7 @@ def as_operator(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise NonFiniteError("operator entries must be finite")
     return a
 
@@ -177,6 +177,6 @@ def matrix_exponential_apply(
     if t == 0:
         return rho.copy()
     out = _blockwise_apply(gen, rho, lambda a, x: expm(t * a) @ x)
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.isfinite(out).all():
         raise MatrixExponentialError("matrix exponential did not converge to finite values")
     return out

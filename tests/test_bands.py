@@ -9,11 +9,12 @@ from semigroup_lab import (
     birth_resolvent,
     conservativity_defect,
     geometric_band_decay,
+    matrix_unit,
     resolvent_direct,
 )
-from semigroup_lab.bands import band_solve, from_bands, to_bands
+from semigroup_lab.bands import band_solve, from_bands, map_bands, upper_bands
 
-from conftest import random_operator
+from conftest import random_operator, random_psd
 
 
 def _bidiagonal_solve(rhs, weight, denom):
@@ -56,11 +57,11 @@ class TestBandLayout:
     @pytest.mark.parametrize("dim", [1, 2, 7])
     def test_round_trip_is_exact(self, dim, rng):
         a = random_operator(dim, rng)
-        assert np.array_equal(from_bands(*to_bands(a)), a)
+        assert np.array_equal(from_bands(upper_bands(a.T), upper_bands(a)), a)
 
     def test_columns_hold_offset_diagonals(self, rng):
         a = rng.standard_normal((5, 5))
-        low, up = to_bands(a)
+        low, up = upper_bands(a.T), upper_bands(a)
         for d in range(5):
             assert np.array_equal(low[:5 - d, d], np.diagonal(a, offset=-d))
             assert np.array_equal(up[:5 - d, d], np.diagonal(a, offset=d))
@@ -70,16 +71,94 @@ class TestBandLayout:
     def test_padding_rows_are_never_read(self, dim, rng):
         # birth_resolvent leaves garbage below each band's last entry
         a = random_operator(dim, rng)
-        low, up = to_bands(a)
+        low, up = upper_bands(a.T), upper_bands(a)
         for d in range(1, dim):
             low[dim - d:, d] = up[dim - d:, d] = 1e300 + 1j
         assert np.array_equal(from_bands(low, up), a)
 
     def test_main_diagonal_comes_from_the_lower_bands(self, rng):
         a = rng.standard_normal((4, 4))
-        low, up = to_bands(a)
+        low, up = upper_bands(a.T), upper_bands(a)
         up[:, 0] = np.nan
         assert np.array_equal(from_bands(low, up), a)
+
+
+def _one_ulp_off(a):
+    a = a.copy()
+    a.real[1, 3] = np.nextafter(a.real[1, 3], np.inf)
+    return a
+
+
+def _symmetric(rng, dim=6):
+    a = rng.standard_normal((dim, dim))
+    return a + a.T
+
+
+# name: (matrix, fn calls map_bands makes); a bitwise-symmetric matrix takes one
+BAND_MAP_MATRICES = {
+    "real symmetric": (_symmetric, 1),
+    "complex |0><0|": (lambda rng: matrix_unit(0, 0, 6), 1),
+    "complex symmetric, column-major": (
+        lambda rng: np.asfortranarray((1.0 + 0.5j) * _symmetric(rng)), 1),
+    "real, one ulp off symmetric": (lambda rng: _one_ulp_off(_symmetric(rng)), 2),
+    "complex, one ulp off symmetric": (
+        lambda rng: _one_ulp_off((1.0 + 0.5j) * _symmetric(rng)), 2),
+    "-0.0 mirrored by 0.0": (lambda rng: np.array([[1.0, -0.0], [0.0, 1.0]]), 2),
+    "hermitian": (lambda rng: random_psd(6, rng), 2),
+}
+
+
+class TestBandMap:
+    @pytest.mark.parametrize("name", BAND_MAP_MATRICES)
+    def test_maps_each_distinct_band_array_once(self, name, rng):
+        build, calls = BAND_MAP_MATRICES[name]
+        a = build(rng)
+        seen = []
+
+        def fn(bands):
+            seen.append(bands.copy())
+            return 2.0 * bands + 1.0
+
+        got = map_bands(a, fn)
+        low, up = upper_bands(a.T), upper_bands(a)
+        assert len(seen) == calls
+        assert np.array_equal(seen[0], low) and np.array_equal(seen[-1], up)
+        want = from_bands(2.0 * low + 1.0, 2.0 * up + 1.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def stacked_birth_resolvent(rates, lam, rho):
+    """birth_resolvent as one sweep over the lower and upper band arrays
+    stacked along a middle axis: the oracle its bits must match."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    mu = rates.mu_array(0, dim)
+    level = np.arange(dim)
+    mu_n = mu[:, None, None]
+    mu_m = mu[np.minimum(level[:, None] + level, dim - 1)][:, None]
+    weight = np.roll(np.sqrt(mu_n) * np.sqrt(mu_m), 1, axis=0)
+    x = band_solve(np.stack([upper_bands(rho.T), upper_bands(rho)], axis=1),
+                   weight, lam + 0.5 * (mu_n + mu_m))
+    return from_bands(x[:, 0], x[:, 1])
+
+
+BIRTH_STATES = {
+    "random complex": lambda dim, rng: random_operator(dim, rng),
+    "hermitian": lambda dim, rng: random_psd(dim, rng),
+    "real symmetric": lambda dim, rng: _symmetric(rng, dim),
+    "|0><0|": lambda dim, rng: matrix_unit(0, 0, dim),
+}
+
+
+class TestBirthBandMap:
+    @pytest.mark.parametrize("dim", [1, 2, 30])
+    @pytest.mark.parametrize("name", BIRTH_STATES)
+    def test_bits_match_stacked_sweep(self, name, dim, rng):
+        rho = BIRTH_STATES[name](dim, rng)
+        for rates, lam in [(PolynomialRates(1.0, 2.0), 0.7), (GeometricRates(1.5), 3.0)]:
+            got = birth_resolvent(rates, lam, rho)
+            want = stacked_birth_resolvent(rates, lam, rho)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestDiagonalBandRoutes:

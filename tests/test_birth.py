@@ -310,6 +310,16 @@ class TestArrivalProduct:
         assert arrival_partial_product(ConstantRates(2.0), 1.0, 0, count) == expected
         assert (expected == 0.0) == (count >= 1838)
 
+    @pytest.mark.parametrize("count", [1817, 1830, 1835])
+    def test_subnormal_product_across_blocks(self, monkeypatch, count):
+        # with blocks of 7 the product stays subnormal over many blocks; one
+        # rounding per block gave 1.1023e-320, 6e-323 and 5e-324 here
+        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            expected = float((mpmath.mpf(2) / 3) ** count)
+        assert arrival_partial_product(ConstantRates(2.0), 1.0, 0, count) == expected
+
     @pytest.mark.parametrize("rates", [GEO, GeometricRates(1.01)])
     def test_exit_tests_at_equality(self, monkeypatch, rates):
         # a partial product equal to tail_tol ends the product; a tail bound

@@ -171,6 +171,27 @@ class TestDiffusionSubcommand:
                              "kernel": f"csv:{path}"})
         assert code == 0
 
+    @pytest.mark.parametrize("complex_kernel", [True, False])
+    def test_complex_kernel_cap(self, tmp_path, capsys, monkeypatch, complex_kernel):
+        # a complex grid holds about twice the bytes of a real one, so it has
+        # its own, smaller cap; this 401-point grid is one point above it
+        monkeypatch.setattr(cli, "_COMPLEX_DIFFUSION_POINTS", 400)
+        x = 0.02 * np.arange(401)
+        p = np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
+        if complex_kernel:
+            p = (1 + 0.5j * x) * p
+        path = tmp_path / "input_kernel.csv"
+        KernelGrid(8.0, 0.02, np.outer(p, p.conj())).to_csv(path)
+        code, out = run_cli(tmp_path, "diffusion",
+                            {"X": 8.0, "h": 0.02, "t": 0.1, "lambda": 1.0,
+                             "kernel": f"csv:{path}"})
+        if complex_kernel:
+            assert_clean_exit(capsys, code, 2, "config error: a complex kernel "
+                              "takes at most 400 points a side, not 401")
+            assert not any(out.iterdir())
+        else:
+            assert code == 0
+
     def test_tail_violation_exits_3(self, tmp_path):
         code, _ = run_cli(tmp_path, "diffusion",
                           {"X": 4.0, "h": 0.02, "t": 0.5, "lambda": 1.0,

@@ -17,7 +17,7 @@ from semigroup_lab import (
     support_extent,
     trace_loss,
 )
-from semigroup_lab.bands import from_bands, to_bands
+from semigroup_lab.bands import from_bands, upper_bands
 
 
 def bump_profile(center=2.0, width=0.4):
@@ -280,8 +280,8 @@ def two_product_contraction(kernel, a, scale):
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
     profile = np.expm1(near - far) * np.exp(-near) / -scale * weights
-    low, up = to_bands(kernel.values)
-    return from_bands(profile @ low, profile @ up)
+    values = kernel.values
+    return from_bands(profile @ upper_bands(values.T), profile @ upper_bands(values))
 
 
 def _one_ulp_off(kernel):
@@ -325,6 +325,26 @@ class TestImageKernelContraction:
     def test_symmetric_kernel_gives_symmetric_bits(self, name, quadrature):
         got = QUADRATURES[quadrature][0](QUADRATURE_KERNELS[name]()).values
         assert got.tobytes() == got.T.copy().tobytes()
+
+    @pytest.mark.parametrize("quadrature", QUADRATURES)
+    @pytest.mark.parametrize("name, units", [("symmetric", 3.5),
+                                             ("one ulp off symmetric", 4.5)])
+    def test_peak_memory(self, name, units, quadrature):
+        """Traced peak, the input excluded, in units of one 401 x 401 float64
+        array: the profile, the band array being multiplied and the products
+        so far; a bitwise-symmetric kernel maps one band array, any other
+        two."""
+        kernel = QUADRATURE_KERNELS[name]()
+        assert kernel.npoints == 401
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            QUADRATURES[quadrature][0](kernel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= units * 401 ** 2 * 8
 
 
 class TestSemigroup:

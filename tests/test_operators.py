@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semigroup_lab import (
+    NonFiniteError,
     StandardGeneratorSpec,
     TraceResetGenerator,
     apply_standard,
@@ -77,6 +78,29 @@ class TestPositivity:
         assert is_selfadjoint(a)
         a[0, 1] = 1e-3
         assert not is_selfadjoint(a)
+
+
+class TestNoncontiguousInput:
+    """A transposed or strided complex view is checked and used as a
+    contiguous copy of it is."""
+
+    @pytest.mark.parametrize("view", [np.transpose, lambda a: a[::2, 1::2]],
+                             ids=["transposed", "strided"])
+    def test_same_result_as_a_contiguous_copy(self, view, rng):
+        a = view(random_psd(12, rng))
+        copy = np.ascontiguousarray(a)
+        assert trace_norm(a) == trace_norm(copy)
+        assert is_selfadjoint(a) == is_selfadjoint(copy)
+        rates = PolynomialRates(1.0, 2.0)
+        assert np.array_equal(birth_resolvent(rates, 0.7, a),
+                              birth_resolvent(rates, 0.7, copy))
+
+    @pytest.mark.parametrize("entry", [np.inf, complex(1.0, -np.inf), np.nan])
+    def test_transposed_nonfinite_entry_raises(self, entry, rng):
+        a = random_operator(4, rng)
+        a[1, 2] = entry
+        with pytest.raises(NonFiniteError):
+            trace_norm(a.T)
 
 
 class TestRankOne:
