@@ -85,6 +85,7 @@ from .trajectories import (
     TrajectoryStreams,
     empirical_laplace,
     event_count_estimator,
+    iter_trajectories,
     n_event_laplace_term,
     sample_trajectories,
     sample_trajectory,

@@ -34,7 +34,7 @@ from .operators import MatrixExponentialError, NonFiniteError, trace_norm
 from .rates import RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
 from .trajectories import BiasCheckError, TrajectoryStreams, \
-    empirical_laplace, sample_trajectories, shift_arrival_density
+    empirical_laplace, iter_trajectories, shift_arrival_density
 
 _NUMERICAL_FAILURES = (SeriesDivergenceError, BiasCheckError, QuadratureError,
                        RateRangeError, MatrixExponentialError, NonFiniteError,
@@ -66,10 +66,10 @@ _LAMBDAS = ("a finite number or a list of at most 16 finite numbers",
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-# each trajectory keeps a record of about 250 B besides its jump times, which
-# samples * max_jumps bounds.  At 10**6 samples, geom:2 took 12.9 s and a
-# 309 MB peak with no jump in the horizon (1e-9), 25.5 s and 1.07 GB with
-# 10**8 kept jump times (max_jumps 100, horizon 50)
+# each trajectory is reduced to its end time (8 B) as it is drawn, so memory
+# grows with samples alone.  At 10**6 samples, geom:2 took 9.3 s and an 83 MB
+# resident peak with no jump in the horizon (1e-9), 14.0 s and 83 MB with
+# 10**8 jumps (max_jumps 100, horizon 50)
 _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
@@ -260,12 +260,11 @@ def _run_minimal(config: dict, writer: _Writer, seed: int) -> None:
 def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     n_start = config.get("n_start", 0)
-    if config["samples"] * config["max_jumps"] > 10 ** 8:  # 0.8 GB of jump times
+    if config["samples"] * config["max_jumps"] > 10 ** 8:  # about 14 s of jumps
         raise ConfigError("samples * max_jumps must be at most 10**8")
     streams = TrajectoryStreams(master_seed=seed)
-    samples = sample_trajectories(rates, n_start, float(config["horizon"]),
-                                  config["max_jumps"], streams,
-                                  config["samples"])
+    samples = iter_trajectories(rates, n_start, float(config["horizon"]),
+                                config["max_jumps"], streams, config["samples"])
     lambdas = _lambdas(config["lambda"])
     rows = []
     for lam, (mean, se) in zip(lambdas, empirical_laplace(samples, lambdas, rates)):

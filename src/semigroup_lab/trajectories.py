@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,17 +108,22 @@ def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
     return TrajectorySample(times, level, level - start == max_jumps, horizon)
 
 
+def iter_trajectories(rates: RateSequence, n_start: int, horizon: float,
+                      max_jumps: int, streams: TrajectoryStreams,
+                      count: int) -> Iterator[TrajectorySample]:
+    """Draw `count` trajectories one at a time: trajectory i is drawn from
+    stream i // _BLOCK, after the earlier trajectories of its block."""
+    for first in range(0, count, _BLOCK):
+        rng = streams.stream(first // _BLOCK)
+        for _ in range(min(_BLOCK, count - first)):
+            yield sample_trajectory(rates, n_start, horizon, max_jumps, rng)
+
+
 def sample_trajectories(rates: RateSequence, n_start: int, horizon: float,
                         max_jumps: int, streams: TrajectoryStreams,
                         count: int) -> list:
-    """Draw `count` trajectories: trajectory i is drawn from stream
-    i // _BLOCK, after the earlier trajectories of its block."""
-    samples = []
-    for first in range(0, count, _BLOCK):
-        rng = streams.stream(first // _BLOCK)
-        samples.extend(sample_trajectory(rates, n_start, horizon, max_jumps, rng)
-                       for _ in range(min(_BLOCK, count - first)))
-    return samples
+    """The trajectories of iter_trajectories, as a list."""
+    return list(iter_trajectories(rates, n_start, horizon, max_jumps, streams, count))
 
 
 def _mean_se(values: np.ndarray):
@@ -128,10 +134,14 @@ def _mean_se(values: np.ndarray):
     return float(values.mean()), float(se)
 
 
-def empirical_laplace(samples: Sequence[TrajectorySample],
-                      lams: Sequence[float], rates: RateSequence) -> list:
+def empirical_laplace(samples: Iterable[TrajectorySample],
+                      lams: Iterable[float], rates: RateSequence) -> list:
     """Monte Carlo estimates of E[exp(-lambda T)] over explosion times T, one
     per lambda of `lams`, from one pass over the samples.
+
+    `samples` may be any iterable, iter_trajectories among them: each sample
+    leaves only its end time (8 B) and, if it hit the jump cap, a count on
+    its final level behind, so the samples need not be held at once.
 
     Trajectories stopped by the horizon contribute the one-sided upper bound
     exp(-lambda * horizon), per the estimator's contract.  Trajectories that
@@ -146,16 +156,22 @@ def empirical_laplace(samples: Sequence[TrajectorySample],
         raise ValueError("no lambda")
     if not all(lam >= 0 for lam in lams):
         raise ValueError("lambda must be nonnegative")
-    ends = np.array([s.jump_times[-1] if s.exploded_within_horizon else s.horizon
-                     for s in samples])
+    ends = array("d")
+    levels = Counter()
+    for s in samples:
+        if s.exploded_within_horizon:
+            ends.append(s.jump_times[-1])
+            levels[s.final_level] += 1
+        else:
+            ends.append(s.horizon)
+    ends = np.frombuffer(ends)
     # the unobserved tail of each truncated explosion time shifts
     # exp(-lam T) by at most lam * inverse_tail(final level)
-    levels = Counter(s.final_level for s in samples if s.exploded_within_horizon)
     tail = sum(n * rates.inverse_tail(level) for level, n in levels.items())
     estimates = []
     for lam in lams:
         mean, se = _mean_se(np.exp(-lam * ends))
-        bias = lam * tail / len(samples)
+        bias = lam * tail / ends.size
         if lam > 0 and bias > max(se, 1e-15):
             raise BiasCheckError(
                 f"truncation bias bound {bias:.3e} exceeds standard error {se:.3e}; "

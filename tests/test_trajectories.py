@@ -13,6 +13,7 @@ from semigroup_lab import (
     birth_resolvent,
     empirical_laplace,
     event_count_estimator,
+    iter_trajectories,
     matrix_unit,
     n_event_laplace_term,
     sample_trajectories,
@@ -231,6 +232,17 @@ class TestBlockStreams:
         assert all(map(same_trajectory, samples[_BLOCK:2 * _BLOCK], block))
         assert not same_trajectory(samples[0], block[0])
 
+    def test_list_is_the_generator_drawn_out(self):
+        # 2 * _BLOCK + 100 samples cross both block boundaries
+        streams = TrajectoryStreams(master_seed=11)
+        count = 2 * _BLOCK + 100
+        samples = sample_trajectories(GEO, 0, 10.0, 16, streams, count)
+        drawn = iter_trajectories(GEO, 0, 10.0, 16, streams, count)
+        for s, d in zip(samples, drawn, strict=True):
+            assert s.jump_times.tobytes() == d.jump_times.tobytes()
+            assert (s.final_level, s.exploded_within_horizon, s.horizon) == (
+                d.final_level, d.exploded_within_horizon, d.horizon)
+
     def test_rate_chunk_is_shared_and_read_only(self):
         mu = _rate_chunk(GEO, 3, 64)
         assert mu is _rate_chunk(GEO, 3, 64)
@@ -311,6 +323,16 @@ class TestArrayEstimators:
         assert empirical_laplace(samples, lams, GEO) == [
             empirical_laplace(samples, [lam], GEO)[0] for lam in lams]
 
+    def test_one_pass_over_a_generator_gives_the_list_bits(self):
+        samples = mixed_samples()
+        lams = [2.0, 0.0, 0.3, 1.0]
+        assert empirical_laplace((s for s in samples), lams, GEO) == \
+            empirical_laplace(samples, lams, GEO)
+        streams = TrajectoryStreams(master_seed=SEED)
+        drawn = iter_trajectories(GEO, 0, 50.0, 20, streams, 3000)
+        assert empirical_laplace(drawn, lams, GEO) == empirical_laplace(
+            sample_trajectories(GEO, 0, 50.0, 20, streams, 3000), lams, GEO)
+
     def test_bias_check_matches_loop(self):
         # the loop oracle raises for the shortest jump caps and the largest
         # lambdas only; a list raises the message of its first failing lambda
@@ -325,6 +347,8 @@ class TestArrayEstimators:
                 assert (loop is None) == (message is None), (max_jumps, lam)
             first = next((m for m in messages if m is not None), None)
             assert bias_message(empirical_laplace, samples, lams) == first
+            drawn = iter_trajectories(GEO, 0, 50.0, max_jumps, streams, 500)
+            assert bias_message(empirical_laplace, drawn, lams) == first
             raised.append([m is not None for m in messages])
         assert raised[0] == [False, True, True, True]
         assert raised[-1] == [False, False, False, True]
@@ -364,6 +388,8 @@ class TestArrayEstimators:
         assert event_count_estimator(sample, 1.0, 2)[1] == 0.0
         with pytest.raises(ValueError, match="no samples"):
             empirical_laplace([], [1.0], GEO)
+        with pytest.raises(ValueError, match="no samples"):
+            empirical_laplace(iter([]), [1.0], GEO)
         with pytest.raises(ValueError, match="no samples"):
             event_count_estimator([], 1.0, 0)
         with pytest.raises(ValueError, match="k must be nonnegative"):
