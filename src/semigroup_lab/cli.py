@@ -5,9 +5,11 @@ Every output file starts with the comment line
 
     # semigroup-lab v<version> subcommand=<name> seed=<seed>
 
-(JSON consumers should skip leading '#' lines).  CSV floats are written
-with 17 significant digits, JSON floats in Python's shortest round-trip
-form, so identical configs and seeds produce byte-identical files.
+(JSON consumers should skip leading '#' lines).  Real CSV floats are
+written with 17 significant digits, complex kernel cells as Python's
+shortest round-trip `repr` without its parentheses, and JSON floats in
+Python's shortest round-trip form, so identical configs and seeds produce
+byte-identical files.
 Subcommands raise numpy overflow, invalid and divide errors (exit 3).
 """
 
@@ -31,7 +33,7 @@ from .diffusion import KernelGrid, QuadratureError, _grid_intervals, \
 from .generators import apply_jump
 from .nonstandard import falsifier_report
 from .operators import MatrixExponentialError, NonFiniteError, trace_norm
-from .rates import RateRangeError, RateSpecError, parse_rate_spec
+from .rates import ExplicitRates, RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
 from .trajectories import BiasCheckError, TrajectoryStreams, \
     empirical_laplace, iter_trajectories, shift_arrival_density
@@ -59,7 +61,7 @@ _NUMBER = ("a finite number", lambda v: isinstance(v, (int, float))
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STR = ("a string", lambda v: isinstance(v, str))
 # each lambda is a full pass (birth poly:1:3 at N = 2**26: 2.6 s for one
-# lambda, 19.7 s for sixteen), so a list is bounded like N
+# lambda, 20.6 s for sixteen on a 2-core host), so a list is bounded like N
 _LAMBDAS = ("a finite number or a list of at most 16 finite numbers",
             lambda v: _NUMBER[1](v) or (isinstance(v, list) and 0 < len(v) <= 16
                                         and all(_NUMBER[1](x) for x in v)))
@@ -74,7 +76,8 @@ _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # birth's rate check and arrival products hold one block of rates at a time,
-# so its peak does not grow with N (N = 2**26: 64 MB peak, 2.6 s for one lambda)
+# so its peak does not grow with N (N = 2**26, poly:1:3: 60 MB resident peak,
+# 2.6 s for one lambda on a 2-core host)
 _DIMENSION = ("at least 2 and at most 2**26, for about 2 s per lambda",
               lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:
@@ -150,11 +153,16 @@ def _load_config(path: str, subcommand: str) -> dict:
     return config
 
 
-def _parse_rates(text: str):
+def _parse_rates(text: str, levels: int = 0):
+    """The rate sequence of a spec; a `list:` needs a rate for each of `levels`."""
     try:
-        return parse_rate_spec(text)
+        rates = parse_rate_spec(text)
     except RateSpecError as exc:
         raise ConfigError(f"bad rate spec: {exc}") from exc
+    if isinstance(rates, ExplicitRates) and len(rates.values) < levels:
+        raise ConfigError(f"rate list of length {len(rates.values)} is shorter "
+                          f"than N = {levels}")
+    return rates
 
 
 def _lambdas(value) -> list:
@@ -214,8 +222,8 @@ class _Writer:
 
 
 def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
-    rates = _parse_rates(config["rates"])
     dim = config["N"]
+    rates = _parse_rates(config["rates"], dim)
     n_start = config.get("n_start", 0)
     tail_tol = config.get("tail_tol", 1e-12)
     if not 0 <= n_start < dim:
@@ -233,7 +241,7 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
 
 
 def _run_minimal(config: dict, writer: _Writer, seed: int) -> None:
-    rates = _parse_rates(config["rates"])
+    rates = _parse_rates(config["rates"], config["N"])
     dim, lam, tol = config["N"], float(config["lambda"]), float(config["tol"])
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -277,7 +285,7 @@ def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
 
 
 def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
-    rates = _parse_rates(config["rates"])
+    rates = _parse_rates(config["rates"], config["N"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
     report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
     writer.json("nonstandard.json", {

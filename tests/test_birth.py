@@ -64,6 +64,29 @@ def sequential_arrival(rates, lam, n_start=0, tail_tol=1e-12, max_factors=10 ** 
     raise RuntimeError(f"no certified bracket after {max_factors} factors")
 
 
+def log_product(rates, lam, n_start, count):
+    """Oracle over the same double rates: exp(-fsum(log1p(lambda/mu_j))), an
+    exactly summed logarithm rounded once."""
+    ratios = (lam / rates.mu_array(n_start, count)).tolist()
+    return math.exp(-math.fsum(map(math.log1p, ratios)))
+
+
+def assert_log_rounding(value, expected):
+    """value within (4 + L) 2^-52 relative of expected, L = -log(expected):
+    the rounding of a logarithm of size L and of one exp."""
+    assert abs(value - expected) <= (4 - math.log(expected)) * 2.0 ** -52 * expected
+
+
+def compared_partial(rates, lam, k, block):
+    """The partial product the blocked route compares with its floor at factor
+    k (from level 0): exp of minus the fsum of the pairwise sums of the blocks
+    before k's block and the running sum within it."""
+    logs = np.log1p(lam / rates.mu_array(0, k))
+    start = (k - 1) // block * block
+    head = math.fsum(float(logs[i:i + block].sum()) for i in range(0, start, block))
+    return float(np.exp(-(head + np.cumsum(logs[start:k])))[-1])
+
+
 def blocked_arrival(rates, lam, **kwargs):
     bracket = arrival_laplace(rates, lam, **kwargs)
     return bracket.value, bracket.width, bracket.n_factors
@@ -257,21 +280,36 @@ class TestArrivalProduct:
     @pytest.mark.parametrize("rates, lams, n_start, tail_tol", ARRIVAL_GRID)
     def test_blocks_match_sequential_loop(self, monkeypatch, rates, lams, n_start,
                                           tail_tol):
-        # a small prime block size makes every case cross block boundaries
-        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
+        # the factor-by-factor loop fixes the exit and its factor count; the
+        # value is the log-sum product of those factors, to its rounding at a
+        # tail-bound exit and to 1e-13 at a floor exit, which reads a running
+        # sum within its block.  A small prime block size makes every case
+        # cross block boundaries
+        default_block = semigroup_lab.birth._PRODUCT_BLOCK
         default = semigroup_lab.birth._MAX_FACTORS
         for lam in lams:
-            expected = sequential_arrival(rates, lam, n_start, tail_tol)
-            # the default factor budget, and one that ends exactly at, or one
-            # short of, the exit
-            k = expected[-1]
-            for budget in (default, k):
-                monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", budget)
-                assert blocked_arrival(rates, lam, n_start=n_start,
-                                       tail_tol=tail_tol) == expected
-            monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
-            with pytest.raises(RuntimeError, match="no certified bracket"):
-                blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
+            reference, reference_width, k = sequential_arrival(rates, lam, n_start,
+                                                               tail_tol)
+            expected = log_product(rates, lam, n_start, k)
+            for block in (7, default_block):
+                monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", block)
+                # the default factor budget, and one that ends exactly at, or
+                # one short of, the exit
+                for budget in (default, k):
+                    monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", budget)
+                    value, width, n_factors = blocked_arrival(
+                        rates, lam, n_start=n_start, tail_tol=tail_tol)
+                    assert n_factors == k
+                    if reference_width == reference:  # the floor exit
+                        assert width == value <= tail_tol
+                        assert abs(value - expected) <= 1e-13 * expected
+                    else:
+                        assert_log_rounding(value, expected)
+                        tail = rates.inverse_tail(n_start + k)
+                        assert width == -value * math.expm1(-lam * tail)
+                monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
+                with pytest.raises(RuntimeError, match="no certified bracket"):
+                    blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
 
     def test_grid_reaches_both_exits(self):
         value, width, _ = sequential_arrival(GEO, 1.0)
@@ -323,12 +361,18 @@ class TestArrivalProduct:
     @pytest.mark.parametrize("rates", [GEO, GeometricRates(1.01)])
     def test_exit_tests_at_equality(self, monkeypatch, rates):
         # a partial product equal to tail_tol ends the product; a tail bound
-        # equal to it does not
+        # equal to it does not.  The exits are the factor-by-factor loop's
         monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
-        value, _, k = sequential_arrival(rates, 1.0)
-        for tail_tol in (value, rates.inverse_tail(k)):
-            assert blocked_arrival(rates, 1.0, tail_tol=tail_tol) == \
-                sequential_arrival(rates, 1.0, tail_tol=tail_tol)
+        _, _, k = sequential_arrival(rates, 1.0)
+        compared = compared_partial(rates, 1.0, k, 7)
+        for tail_tol in (compared, rates.inverse_tail(k)):
+            value, width, n_factors = blocked_arrival(rates, 1.0, tail_tol=tail_tol)
+            reference, reference_width, reference_k = sequential_arrival(
+                rates, 1.0, tail_tol=tail_tol)
+            assert n_factors == reference_k
+            assert (width == value) == (reference_width == reference)
+        if rates.a == 1.01:  # it ends on the floor at k, with the value it compared
+            assert blocked_arrival(rates, 1.0, tail_tol=compared) == (compared, compared, k)
 
     def test_uncertified_product_raises(self, monkeypatch):
         rates = PolynomialRates(2.0, 2.5)
@@ -365,6 +409,53 @@ class TestArrivalProduct:
         shifted = arrival_laplace(GEO, 1.0, n_start=3)
         direct = np.prod([1.0 / (1.0 + 1.0 / GEO.mu(j)) for j in range(3, 60)])
         assert shifted.value == pytest.approx(direct, rel=1e-10)
+
+
+class TestArrivalClosedForms:
+    # the products of exact factors in Gamma functions, to 40 digits, against
+    # the route within (4 + L) 2^-52, the rounding of one log sum of size L.
+    # Dividing factor by factor drifted by up to 1.5e-11 at N = 2^24
+    @staticmethod
+    def gamma_ratio(mpmath, numerator, denominator):
+        """prod Gamma(numerator) / prod Gamma(denominator), a real number."""
+        logs = sum(map(mpmath.loggamma, numerator)) - sum(map(mpmath.loggamma, denominator))
+        return mpmath.exp(logs).real
+
+    @pytest.mark.parametrize("dim", [2 ** 20, 2 ** 24])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_linear_defect(self, dim, lam):
+        # prod_{m <= N} m / (m + lambda) = Gamma(N+1) Gamma(lambda+1) / Gamma(N+lambda+1)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            n, lam_mp = mpmath.mpf(dim), mpmath.mpf(lam)
+            expected = float(self.gamma_ratio(mpmath, (n + 1, lam_mp + 1),
+                                              (n + lam_mp + 1,)))
+        assert_log_rounding(arrival_partial_product(LINEAR, lam, 0, dim), expected)
+
+    @pytest.mark.parametrize("dim", [2 ** 20, 2 ** 24])
+    def test_quadratic_defect(self, dim):
+        # prod_{m <= N} m^2 / ((m + i)(m - i)) at lambda = 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            n, i = mpmath.mpf(dim), mpmath.mpc(0, 1)
+            expected = float(self.gamma_ratio(mpmath, (n + 1, n + 1, 1 + i, 1 - i),
+                                              (n + 1 + i, n + 1 - i)))
+        assert_log_rounding(arrival_partial_product(POLY, 1.0, 0, dim), expected)
+
+    def test_cubic_bracket_value(self):
+        # m^3 + 1 = (m + 1)(m - w)(m - conj(w)) with w = exp(i pi/3), so the
+        # product of the bracket's K factors telescopes in m/(m + 1) and the
+        # rest is Gamma(K+1)^2 Gamma(1-w) Gamma(1-conj(w)) / Gamma(K+1-w) Gamma(K+1-conj(w)).
+        # loggamma takes milliseconds, where mpmath.fprod of the factors takes seconds
+        mpmath = pytest.importorskip("mpmath")
+        bracket = arrival_laplace(PolynomialRates(1.0, 3.0), 1.0)
+        assert bracket.n_factors == 707107
+        with mpmath.workdps(40):
+            k, w = mpmath.mpf(bracket.n_factors), mpmath.expjpi(mpmath.mpf(1) / 3)
+            w_bar = w.conjugate()
+            expected = float(self.gamma_ratio(mpmath, (k + 1, k + 1, 1 - w, 1 - w_bar),
+                                              (k + 1 - w, k + 1 - w_bar)) / (k + 1))
+        assert_log_rounding(bracket.value, expected)
 
 
 class TestConservativityDefect:

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from semigroup_lab import KernelGrid, NonFiniteError, __version__, cli
+from semigroup_lab import KernelGrid, NonFiniteError, __version__, arrival_partial_product, cli
 from semigroup_lab.cli import _Writer, _load_config, run
+from semigroup_lab.rates import parse_rate_spec
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -573,6 +574,18 @@ class TestSpecParsing:
         assert_clean_exit(capsys, code, 2, "config error: bad rate spec")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand, extra", [("birth", {}),
+                                                   ("minimal", {"tol": 1e-10}),
+                                                   ("nonstandard", {"t": 1})])
+    def test_rate_list_shorter_than_n_exits_2(self, tmp_path, capsys, subcommand, extra):
+        # the list needs a rate for each of the N levels; it exited 3 on reading
+        # past its end
+        code, out = run_cli(tmp_path, subcommand,
+                            {"rates": "list:1,2,4,8", "lambda": 1, "N": 5, **extra})
+        assert_clean_exit(capsys, code, 2,
+                          "config error: rate list of length 4 is shorter than N = 5")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("width", ["1e-170", "1e-300"])
     def test_narrow_bump_on_a_grid_point_runs_without_warning(self, tmp_path, width):
         with warnings.catch_warnings():
@@ -677,7 +690,8 @@ class TestNonFiniteOutput:
             code, out = run_cli(tmp_path, "birth", {**BIRTH, "lambda": 1e300})
         assert code == 0
         row = (out / "arrival.csv").read_text().splitlines()[2].split(",")
-        assert float(row[1]) == 1 / (1 + 1e300)
+        assert float(row[1]) == arrival_partial_product(parse_rate_spec(BIRTH["rates"]),
+                                                        1e300, 0, 1)
 
     def test_overflowing_ratio_is_a_factor_of_zero(self, tmp_path):
         # lambda / mu_0 = 1e10 / 1e-300 overflows: the factor is 0 in both the
