@@ -47,7 +47,7 @@ class ArrivalBracket:
     log1p sum rounded once, measured within (4 + L) 2^-52 relative of their
     exact product, L = -log(value) (poly:1:3 at lambda = 1: 2.7e-16, against a
     width of 1.0e-12 that still leaves the exact infinite product just below
-    value - width); a floor exit reads a running sum, to about 1e-14."""
+    value - width), at a floor exit as at a tail-bound one."""
 
     value: float
     width: float
@@ -138,28 +138,31 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
 
 
 def _arrival_product(rates: RateSequence, lam: float, n_start: int,
-                     count: int, floor: float) -> tuple[float, int]:
-    """(product, factors multiplied) of 1/(1 + lambda/mu_j) from j = n_start, in
-    order and in blocks, to `count` factors or the first partial product <= floor.
-    Each partial product is exp(-s), s the log1p sum of its factors, so it is
-    rounded once, subnormal or not.  The finished blocks' pairwise sums are
-    carried by math.fsum as hi + lo, with hi their correctly rounded total, and
-    only a floor exit reads a running sum within its block.  A rate that
-    overflows is a factor of 1, a ratio that overflows a factor of 0."""
+                     count: int, floor: float) -> tuple[float, int, bool]:
+    """(product, factors multiplied, whether it stopped at the floor) of
+    1/(1 + lambda/mu_j) from j = n_start, in order and in blocks, to `count`
+    factors or the first partial product <= floor.  Each partial product is
+    exp(-s), s the log1p sum of its factors, so it is rounded once, subnormal
+    or not.  The finished blocks' pairwise sums are carried by math.fsum as
+    hi + lo, with hi their correctly rounded total.  The floor is compared
+    with a running sum within the block; the product it stops at is then
+    formed from hi, lo and that block's logs by math.fsum, so it may lie an
+    ulp or so above the floor.  A rate that overflows is a factor of 1, a
+    ratio that overflows a factor of 0."""
     _check_index(n_start, count)
     hi = lo = 0.0
     for done in range(0, count, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):
             ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
         logs = np.log1p(ratio)
-        partial = np.exp(-(hi + np.cumsum(logs)))
-        small = np.flatnonzero(partial <= floor)
+        small = np.flatnonzero(np.exp(-(hi + np.cumsum(logs))) <= floor)
         if small.size:
-            return float(partial[small[0]]), done + int(small[0]) + 1
+            k = int(small[0]) + 1
+            return math.exp(-math.fsum((hi, lo, *logs[:k].tolist()))), done + k, True
         terms = (hi, lo, float(logs.sum()))
         hi = math.fsum(terms)
         lo = math.fsum((*terms, -hi))
-    return math.exp(-hi), count
+    return math.exp(-hi), count, False
 
 
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
@@ -208,8 +211,8 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     # 1/(1+x) >= exp(-x) for x >= 0: no partial product falls below exp(-lam *
     # inverse_tail(n_start)), and a neglected tail lies in [exp(-its bound), 1]
     if first <= _MAX_FACTORS or math.exp(-lam * rates.inverse_tail(n_start)) <= tail_tol:
-        product, n_factors = _arrival_product(rates, lam, n_start, last, tail_tol)
-        if product <= tail_tol:
+        product, n_factors, floored = _arrival_product(rates, lam, n_start, last, tail_tol)
+        if floored:
             return ArrivalBracket(value=product, width=product, n_factors=n_factors)
         if first <= _MAX_FACTORS:
             width = -product * math.expm1(-lam * rates.inverse_tail(n_start + last))

@@ -6,10 +6,14 @@ Every output file starts with the comment line
     # semigroup-lab v<version> subcommand=<name> seed=<seed>
 
 (JSON consumers should skip leading '#' lines).  Real CSV floats are
-written with 17 significant digits, complex kernel cells as Python's
-shortest round-trip `repr` without its parentheses, and JSON floats in
-Python's shortest round-trip form, so identical configs and seeds produce
-byte-identical files.
+written with 17 significant digits (%.17g), complex kernel cells as
+'%.17g%+.17gj' without parentheses (KernelGrid.from_csv also reads the
+Python `repr` cells that earlier versions wrote), and JSON floats in
+Python's shortest round-trip form.  Identical configs and seeds produce
+byte-identical files on the same OpenBLAS core; files from matrix products
+may change in their last digits under another one (diffusion's three files
+did under Sandybridge, Prescott and Haswell, and minimal's match_direct
+under Sandybridge).
 Subcommands raise numpy overflow, invalid and divide errors (exit 3).
 """
 
@@ -315,12 +319,13 @@ def _spec_numbers(spec_text: str, fields) -> list:
 # kernel, which maps two and so takes two matrix products per quadrature.  A
 # csv: kernel loads within it, at about 25 bytes per cell (33 if complex):
 # 0.59 GB resident for a real one at 4729 points.  A complex kernel's arrays
-# are twice as large and each product casts the profile to complex, about 13
-# float64 arrays: the hermitian (1 + 0.5j x) bump(x) kernel peaks at 1.81 GB
-# resident and a 2048 MiB address space at 4168 points (2049 MiB at 4169).
-# shift-demo takes about 340 bytes per point
+# are twice as large, and each product multiplies their float64 view, so it
+# holds 11 float64 arrays (kernel 2, evolved 2, profile 1, first product 2,
+# band array 2, its product 2): the hermitian (1 + 0.5j x) bump(x) kernel
+# peaks at 1.86 GB resident and a 2047.5 MiB address space at 4527 points
+# (2048.5 MiB at 4528).  shift-demo takes about 340 bytes per point
 _DIFFUSION_POINTS = 4729
-_COMPLEX_DIFFUSION_POINTS = 4168
+_COMPLEX_DIFFUSION_POINTS = 4527
 _SHIFT_POINTS = 2 ** 22
 
 

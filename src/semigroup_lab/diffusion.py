@@ -86,23 +86,22 @@ class KernelGrid:
         return cls(X=X, h=h, values=np.outer(p, p.conj()))
 
     def to_csv(self, path, header: str = None) -> None:
-        """First row is grid metadata (X, h); real entries use %.17g, and a
-        grid with any nonzero imaginary part writes every entry as the python
-        repr 'a+bj' without parentheses.  An optional '#' comment line may
-        precede the metadata.  Non-finite values raise NonFiniteError before
-        the file is opened."""
+        """First row is grid metadata (X, h), then one row of cells per grid
+        row (see _rows): %.17g for a real grid, and '%.17g%+.17gj' (such as
+        0.5-0j, without parentheses) for a grid with any nonzero imaginary
+        part; a complex grid with none is written as real.  An optional '#'
+        comment line may precede the metadata.  Non-finite values raise
+        NonFiniteError before the file is opened."""
         if not np.isfinite(self.values).all():
             raise NonFiniteError("refusing to write non-finite kernel values")
-        if np.iscomplexobj(self.values) and np.any(self.values.imag):
-            rows = (",".join(repr(v).strip("()") for v in row.tolist()) + "\n"
-                    for row in self.values)
-        else:
-            rows = _real_rows(self.values.real)
+        values = self.values
+        if np.iscomplexobj(values) and not np.any(values.imag):
+            values = values.real
         with open(path, "w", newline="") as fh:
             if header is not None:
                 fh.write(header.rstrip("\n") + "\n")
             fh.write(f"{self.X:.17g},{self.h:.17g}\n")
-            fh.writelines(rows)
+            fh.writelines(_rows(values))
 
     @classmethod
     def from_csv(cls, path) -> "KernelGrid":
@@ -111,9 +110,11 @@ class KernelGrid:
         row 'X,h', and the rest are the rows of values.  A cell is a number
         as Python's complex() reads it, parentheses and surrounding blanks
         allowed, but not quoted, nor with digit underscores, an uppercase J,
-        a bare j or non-ASCII digits; a grid with no nonzero imaginary part
-        loads as real.  The rows go through numpy's C parser: about 25 bytes
-        of peak memory per cell for a real grid and 33 for a complex one
+        a bare j or non-ASCII digits; so the Python repr cells ('1j',
+        '-0-1j') that earlier versions wrote for a complex grid load as well
+        as today's '0+1j'.  A grid with no nonzero imaginary part loads as
+        real.  The rows go through numpy's C parser: about 25 bytes of peak
+        memory per cell for a real grid and 33 for a complex one
         (tracemalloc), and about 0.15 s for a real 601-point grid on a
         2-core host."""
         with open(path) as fh:
@@ -132,8 +133,10 @@ class KernelGrid:
         return cls(X=X, h=h, values=values)
 
 
-def _real_rows(values: np.ndarray):
-    """The CSV lines of a real grid, each cell %.17g and formatted once.
+def _rows(values: np.ndarray):
+    """The CSV lines of a grid, each cell formatted once: %.17g for a real
+    grid, '%.17g%+.17gj' for a complex one, whose arguments are the real and
+    imaginary parts read off the grid's float64 view.
 
     A grid equal to its transpose bit for bit (so -0 stays where it sits)
     formats only its upper triangle: row i's first i cells are those formatted
@@ -141,16 +144,22 @@ def _real_rows(values: np.ndarray):
     most about n**2 / 4 cells are held.  Any other grid is formatted a row at
     a time."""
     n = values.shape[0]
+    if np.iscomplexobj(values):
+        cell = "%.17g%+.17gj"
+        parts = np.ascontiguousarray(values).view(np.float64)  # re, im, re, ...
+    else:
+        cell, parts = "%.17g", values
     if not bitwise_symmetric(values):
-        fmt = ",".join(["%.17g"] * n) + "\n"
-        for row in values:
+        fmt = ",".join([cell] * n) + "\n"
+        for row in parts:
             yield fmt % tuple(row.tolist())
         return
-    cell = "%.17g,"
+    cell += ","
     template = cell * n
+    width = parts.shape[1] // n  # float64 arguments per cell
     pending = []  # per row above, its cells still to be written, last column first
     for i in range(n):
-        cells = (template[len(cell) * i:] % tuple(values[i, i:].tolist())).split(",")
+        cells = (template[len(cell) * i:] % tuple(parts[i, width * i:].tolist())).split(",")
         cells.pop()  # the empty field after the last comma
         yield ",".join([*map(list.pop, pending), *cells]) + "\n"
         pending.append(cells[:0:-1])  # right of the diagonal, last column first
@@ -183,7 +192,10 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
 
     Each band array of the kernel is multiplied once (map_bands): one for a
     kernel equal to its transpose bit for bit, whose result is then symmetric
-    by construction, and two for any other."""
+    by construction, and two for any other.  The real profile multiplies the
+    band array's float64 view, so a complex kernel's interleaved real and
+    imaginary parts take one real product of twice the width, not a complex
+    one."""
     x = kernel.x
     near = a(np.abs(np.subtract.outer(x, x)))
     far = a(np.add.outer(x, x))
@@ -192,8 +204,11 @@ def _apply_image_kernel(kernel: KernelGrid, a: Callable[[np.ndarray], np.ndarray
     del near
     profile /= -scale
     profile *= _trapezoid_weights(kernel.npoints, kernel.h)
-    return KernelGrid(X=kernel.X, h=kernel.h,
-                      values=map_bands(kernel.values, lambda bands: profile @ bands))
+
+    def fn(bands):
+        return (profile @ bands.view(np.float64)).view(bands.dtype)
+
+    return KernelGrid(X=kernel.X, h=kernel.h, values=map_bands(kernel.values, fn))
 
 
 def apply_semigroup(kernel: KernelGrid, t: float) -> KernelGrid:

@@ -281,10 +281,9 @@ class TestArrivalProduct:
     def test_blocks_match_sequential_loop(self, monkeypatch, rates, lams, n_start,
                                           tail_tol):
         # the factor-by-factor loop fixes the exit and its factor count; the
-        # value is the log-sum product of those factors, to its rounding at a
-        # tail-bound exit and to 1e-13 at a floor exit, which reads a running
-        # sum within its block.  A small prime block size makes every case
-        # cross block boundaries
+        # value is the log-sum product of those factors, to its rounding at
+        # either exit.  A small prime block size makes every case cross block
+        # boundaries
         default_block = semigroup_lab.birth._PRODUCT_BLOCK
         default = semigroup_lab.birth._MAX_FACTORS
         for lam in lams:
@@ -302,11 +301,10 @@ class TestArrivalProduct:
                     assert n_factors == k
                     if reference_width == reference:  # the floor exit
                         assert width == value <= tail_tol
-                        assert abs(value - expected) <= 1e-13 * expected
                     else:
-                        assert_log_rounding(value, expected)
                         tail = rates.inverse_tail(n_start + k)
                         assert width == -value * math.expm1(-lam * tail)
+                    assert_log_rounding(value, expected)
                 monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
                 with pytest.raises(RuntimeError, match="no certified bracket"):
                     blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
@@ -336,6 +334,35 @@ class TestArrivalProduct:
             with mpmath.workdps(50):
                 expected = bracket.value * -mpmath.expm1(-mpmath.mpf(lam) * tail)
                 assert abs(bracket.width - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("rates, lams, n_start, tail_tol", ARRIVAL_GRID)
+    def test_floor_exit_matches_mpmath(self, rates, lams, n_start, tail_tol):
+        # the product of the factors a floor exit multiplied, over the same
+        # double rates, to 40 digits.  Read off the running sum, geom:1.01 at
+        # lambda = 1 (48 factors) was 1.27e-14 off, against a bound of 7.1e-15
+        mpmath = pytest.importorskip("mpmath")
+        for lam in lams:
+            bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
+            if bracket.width != bracket.value:  # the tail-bound exit
+                continue
+            with mpmath.workdps(40):
+                expected = float(mpmath.fprod(
+                    1 / (1 + mpmath.mpf(lam) / mpmath.mpf(mu))
+                    for mu in rates.mu_array(n_start, bracket.n_factors).tolist()))
+            assert_log_rounding(bracket.value, expected)
+
+    def test_floor_exit_is_not_compared_again(self):
+        # geom:1.01 at lambda = 1/2 ends on the floor at factor 102 when
+        # tail_tol is the partial product compared there, yet the product of
+        # those factors, rounded once, lies above it: the bracket still
+        # reaches down to 0 and stops at 102
+        rates = GeometricRates(1.01)
+        _, _, k = sequential_arrival(rates, 0.5)
+        compared = compared_partial(rates, 0.5, k, semigroup_lab.birth._PRODUCT_BLOCK)
+        value, width, n_factors = blocked_arrival(rates, 0.5, tail_tol=compared)
+        assert (n_factors, width) == (k, value)
+        assert value > compared
+        assert_log_rounding(value, log_product(rates, 0.5, 0, k))
 
     @pytest.mark.parametrize("count", [1780, 1830, 1837, 1838, 3000])
     def test_subnormal_product_is_the_nearest_double(self, count):
@@ -371,7 +398,8 @@ class TestArrivalProduct:
                 rates, 1.0, tail_tol=tail_tol)
             assert n_factors == reference_k
             assert (width == value) == (reference_width == reference)
-        if rates.a == 1.01:  # it ends on the floor at k, with the value it compared
+        if rates.a == 1.01:  # it ends on the floor at k; here the product of
+            # its factors, rounded once, is the value it compared
             assert blocked_arrival(rates, 1.0, tail_tol=compared) == (compared, compared, k)
 
     def test_uncertified_product_raises(self, monkeypatch):

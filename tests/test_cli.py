@@ -210,6 +210,28 @@ class TestDiffusionSubcommand:
         else:
             assert code == 0
 
+    def test_complex_kernel_peak_memory(self, tmp_path):
+        """Traced peak of a whole run on a complex, not bitwise-symmetric
+        401-point csv: kernel, in units of one 401 x 401 float64 array: the
+        kernel and the evolved kernel (two each), the profile and, while the
+        resolvent is mapped, the band array, its product and the first
+        product (two each).  Casting the profile to complex took 13 units."""
+        x = 0.02 * np.arange(401)
+        p = (1 + 0.5j * x) * np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
+        path = tmp_path / "input_kernel.csv"
+        KernelGrid(8.0, 0.02, np.outer(p, p.conj())).to_csv(path)
+        payload = {"X": 8.0, "h": 0.02, "t": 0.1, "lambda": 1.0, "kernel": f"csv:{path}"}
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, _ = run_cli(tmp_path, "diffusion", payload)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 11.5 * 401 ** 2 * 8
+
     def test_tail_violation_exits_3(self, tmp_path):
         code, _ = run_cli(tmp_path, "diffusion",
                           {"X": 4.0, "h": 0.02, "t": 0.5, "lambda": 1.0,
