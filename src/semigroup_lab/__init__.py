@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .birth import (
     ArrivalBracket,
     BandDecayTable,
+    BirthBandGenerator,
     GrowthReport,
     LeadingColumnReport,
     am_gm_gap,

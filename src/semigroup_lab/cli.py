@@ -84,9 +84,10 @@ _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # 2.6 s for one lambda on a 2-core host)
 _DIMENSION = ("at least 2 and at most 2**26, for about 2 s per lambda",
               lambda v: 2 <= v <= 2 ** 26)
-# at N=107 nonstandard and minimal each ran in 0.9-1.2 s wall, 75 MB peak:
-# nonstandard exponentiates one N x N block and makes 202 dense generator
-# calls; minimal's direct solve on a dense rho covers all 2N-1 blocks, O(N**4)
+# at N=107 nonstandard ran in 0.68-1.16 s wall and minimal in 0.73-0.95 s,
+# mostly start-up, with a 70 MB resident peak: nonstandard exponentiates one
+# N x N block (0.024 s) and makes 202 O(N**2) band generator calls; minimal's
+# direct solve on a dense rho covers all 2N-1 blocks, O(N**4) (0.04 s)
 _DENSE_DIMENSION = ("at least 2 and at most 107, for a run of a few seconds",
                     lambda v: 2 <= v <= 107)
 

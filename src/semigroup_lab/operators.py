@@ -7,8 +7,9 @@ heavy lifting is delegated to LAPACK via numpy/scipy.
 A linear map on operators has a sparse (CSR) dim^2 x dim^2 matrix
 (`superop_matrix`), built by one of two routes.  A map that knows its own
 matrix supplies it through a `superop_matrix(dim)` method:
-`StandardGeneratorSpec` (the GKLS closed form) and `TraceResetGenerator` (its
-base's matrix minus a rank-one trace row).  Every other callable is applied
+`StandardGeneratorSpec` (the GKLS closed form), `BirthBandGenerator` (the
+birth spec's) and `TraceResetGenerator` (its base's matrix minus a rank-one
+trace row).  Every other callable is applied
 to each matrix unit E_ij, dim^2 calls; that dense column loop is the
 reference route for the structured one.
 
@@ -16,9 +17,10 @@ Matrix functions of that matrix (exponential, inverse, powers) act on each
 weakly connected component of its nonzero pattern alone; the birth and reset
 generators split into 2*dim - 1 offset-diagonal blocks.  The dense oracles
 share one block loop, `_blockwise_apply`, which evaluates f(m[b, b]) @ v[b]
-with only m[b, b] made dense, and only for the blocks b that the vector
-occupies: a reset to |0><0| touches the diagonal block alone.  scipy.sparse
-is imported where it is used, to keep it off the package's import time.
+with only m[b, b] made dense, straight from the matrix's CSR triplets, and
+only for the blocks b that the vector occupies: a reset to |0><0| touches the
+diagonal block alone.  scipy.sparse and scipy.linalg are imported where they
+are used, to keep them off the package's import time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 class MatrixExponentialError(RuntimeError):
     """Raised when the reference exponential produces non-finite values."""
@@ -75,6 +76,13 @@ def is_positive_semidefinite(a: np.ndarray, tol: float = 0.0) -> bool:
     return float(eig.min()) >= -tol * max(1.0, float(np.abs(eig).sum()))
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
+
+
 def rank_one(phi, psi) -> np.ndarray:
     """|phi><psi| as a matrix: entry (n, m) = phi[n] * conj(psi[m])."""
     phi = np.asarray(phi, dtype=complex)
@@ -95,7 +103,7 @@ def superop_matrix(superop: Callable[[np.ndarray], np.ndarray], dim: int):
     """Sparse (CSR) dim^2 x dim^2 matrix of a linear map.
 
     Vectorization is row-major: E_ij maps to column i*dim + j.  A map with a
-    `superop_matrix(dim)` method (`StandardGeneratorSpec`,
+    `superop_matrix(dim)` method (`StandardGeneratorSpec`, `BirthBandGenerator`,
     `TraceResetGenerator`) builds the matrix itself without calling the map;
     any other callable is applied to every matrix unit, column by column.
     """
@@ -133,22 +141,33 @@ def _blockwise_apply(superop: Callable[[np.ndarray], np.ndarray], rho: np.ndarra
     no nonzero entry links two of them, so M is block diagonal after one
     permutation, and so is f(M) (Higham 2008, Thm 1.13).  fn runs, on the
     dense block, only for the blocks that rho occupies; f(M) maps every
-    other block of rho, which is zero, to zero.
+    other block of rho, which is zero, to zero.  A block is summed from the
+    CSR entries of its component into zeros, in storage order, as `toarray`
+    sums them: duplicates add up, and a stored zero changes nothing.
     """
     from scipy.sparse.csgraph import connected_components
 
     dim = rho.shape[0]
     m = superop_matrix(superop, dim)
     v = rho.ravel()
-    _, labels = connected_components(m != 0, connection="weak")
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
-    m = m[order][:, order]  # block diagonal: each block is a contiguous slice
+    count, labels = connected_components(m != 0, connection="weak")
+    order = np.argsort(labels, kind="stable")  # each block's indices, ascending
+    sizes = np.bincount(labels, minlength=count)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    position = np.empty_like(order)  # of each index within its block
+    position[order] = np.arange(order.size) - bounds[labels[order]]
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    stored = np.flatnonzero(m.data != 0)
+    entry_labels = labels[rows[stored]]
+    entries = stored[np.argsort(entry_labels, kind="stable")]
+    entry_bounds = np.concatenate(([0], np.cumsum(np.bincount(entry_labels, minlength=count))))
     out = np.zeros_like(v)
     for k in np.unique(labels[v != 0]):
-        start, end = bounds[k], bounds[k + 1]
-        b = order[start:end]
-        out[b] = fn(m[start:end, start:end].toarray(), v[b])
+        e = entries[entry_bounds[k]:entry_bounds[k + 1]]
+        block = np.zeros((sizes[k], sizes[k]), dtype=m.dtype)
+        np.add.at(block, (position[rows[e]], position[m.indices[e]]), m.data[e])
+        b = order[bounds[k]:bounds[k + 1]]
+        out[b] = fn(block, v[b])
     return out.reshape(dim, dim)
 
 

@@ -50,6 +50,10 @@ def resolvent_direct(gen: Callable[[np.ndarray], np.ndarray], lam: float,
                             lambda a, v: np.linalg.solve(lam * np.eye(v.size) - a, v))
 
 
+def _trace(a: np.ndarray) -> float:
+    return float(np.real(np.trace(a)))
+
+
 def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
                      perturbation: Callable[[np.ndarray], np.ndarray],
                      lam: float, rho: np.ndarray,
@@ -58,9 +62,12 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
 
     `r0` is the unperturbed resolvent at the given lambda and `perturbation`
     the completely positive perturbation.  For a positive input the
-    normalization condition tr(P(R0 rho)) <= tr(rho) is verified up front.
-    Stops when the trace-norm increment is below `tol` both absolutely and
-    relative to the accumulated value, or unconverged after _MAX_ITER terms.
+    normalization condition tr(P(R0 rho)) <= tr(rho) is verified up front,
+    and every term, a CP map of rho, is positive, so its trace is its trace
+    norm: increments and the accumulated value are then measured by their
+    traces, otherwise by trace_norm (an SVD per term).
+    Stops when the increment is below `tol` both absolutely and relative to
+    the accumulated value, or unconverged after _MAX_ITER terms.
     A growing increment that fails to decrease over 100 consecutive steps
     raises SeriesDivergenceError instead of truncating silently.
     """
@@ -69,7 +76,8 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
     rho = as_operator(rho)
     term = r0(rho)
     w = perturbation(term)
-    if is_selfadjoint(rho) and is_positive_semidefinite(rho, tol=1e-12):
+    positive = is_selfadjoint(rho) and is_positive_semidefinite(rho, tol=1e-12)
+    if positive:
         witness = np.real(np.trace(w))
         budget = np.real(np.trace(rho))
         if witness > budget + 1e-10 * max(1.0, budget):
@@ -77,8 +85,9 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
                 "perturbation is not dominated by the no-event loss: "
                 f"tr P(R0 rho) = {witness:.6e} > tr rho = {budget:.6e}"
             )
+    measure = _trace if positive else trace_norm
     value = term.copy()
-    trajectory = [lam * float(np.real(np.trace(value)))]
+    trajectory = [lam * _trace(value)]
     first_increment = None
     trailing_min = np.inf
     stalled = 0
@@ -87,8 +96,8 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
     for n in range(1, _MAX_ITER + 1):
         term = r0(w)
         value += term
-        trajectory.append(lam * float(np.real(np.trace(value))))
-        inc = trace_norm(term)
+        trajectory.append(lam * _trace(value))
+        inc = measure(term)
         if first_increment is None:
             first_increment = inc
         if inc < trailing_min:
@@ -96,7 +105,7 @@ def resolvent_series(r0: Callable[[np.ndarray], np.ndarray],
             stalled = 0
         else:
             stalled += 1
-        if inc <= tol and inc <= tol * max(trace_norm(value), 1e-300):
+        if inc <= tol and inc <= tol * max(measure(value), 1e-300):
             converged = True
             break
         if stalled >= 100 and inc > first_increment:

@@ -35,6 +35,11 @@ def random_vector(dim, rng, interior=False, normalize=True):
     return v
 
 
+def bits(a):
+    """The real and imaginary parts' bit patterns, so -0.0 differs from 0.0."""
+    return np.stack([a.real, a.imag]).view(np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

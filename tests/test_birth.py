@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import semigroup_lab.birth
 from semigroup_lab import (
+    BirthBandGenerator,
     am_gm_gap,
     apply_standard,
     arrival_laplace,
@@ -30,9 +31,10 @@ from semigroup_lab.rates import (
     GeometricRates,
     PolynomialRates,
     RateRangeError,
+    parse_rate_spec,
 )
 
-from conftest import random_operator, random_psd
+from conftest import bits, random_operator, random_psd
 
 POLY = PolynomialRates(1.0, 2.0)
 LINEAR = PolynomialRates(1.0, 1.0)
@@ -145,6 +147,47 @@ class TestBirthGenerator:
     def test_minimal_dim(self):
         with pytest.raises(ValueError):
             birth_generator(POLY, 1)
+
+
+class TestBirthBandGenerator:
+    """The band action against the dense GKLS route birth_generator(rates, N),
+    bit for bit.  The one difference is the sign of two zeros: on an interior
+    rho (last row and column zero) the real parts of cells (0, N-1) and
+    (N-1, 0) are -0.0 + -0.0 = -0.0 in the band route, while the dense
+    route's matrix products add +0.0 terms there (+0.0 on OpenBLAS)."""
+
+    RATES = ["poly:1:2", "geom:2", "const:1.5",
+             "list:" + ",".join(str(0.5 + 0.75 * k) for k in range(107))]
+
+    @pytest.mark.parametrize("spec", RATES)
+    @pytest.mark.parametrize("dim", [2, 30, 107])
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_bitwise_equal_to_the_dense_route(self, spec, dim, interior):
+        rates = parse_rate_spec(spec)
+        band, dense = BirthBandGenerator(rates, dim), birth_generator(rates, dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            rho = random_operator(dim, rng, interior=interior)
+            out, ref = band(rho), dense(rho)
+            if interior:
+                corners = ([0, dim - 1], [dim - 1, 0])
+                assert np.array_equal(ref[corners], np.zeros(2))
+                assert np.signbit(out.real[corners]).all()
+                out.real[corners] = ref.real[corners]
+            assert np.array_equal(bits(out), bits(ref))
+
+    def test_matrix_is_the_dense_generators(self):
+        band = BirthBandGenerator(POLY, 7)
+        assert np.array_equal(band.superop_matrix(7).toarray(),
+                              birth_generator(POLY, 7).superop_matrix(7).toarray())
+        with pytest.raises(ValueError, match="does not match"):
+            band.superop_matrix(6)
+
+    def test_validates_its_arguments(self):
+        with pytest.raises(ValueError, match="two levels"):
+            BirthBandGenerator(POLY, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            BirthBandGenerator(POLY, 4)(np.eye(3))
 
 
 class TestClassicalBirth:

@@ -785,5 +785,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded(self):
+        # only the dense oracles of minimal and nonstandard need them
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, semigroup_lab.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[:2] in "
+             "(['scipy', 'linalg'], ['scipy', 'sparse'])))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semigroup_lab import (
+    FalsifierReport,
     TraceResetGenerator,
     band_domain_element,
     birth_generator,
@@ -156,6 +157,34 @@ class TestContractionReport:
 
 
 class TestFalsifier:
+    @staticmethod
+    def dense_report(rates, dim, lam, t, seed):
+        """falsifier_report with the dense StandardGeneratorSpec as g."""
+        spec = birth_generator(rates, dim)
+        gen_hat = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, dim))
+        rng = np.random.default_rng(seed)
+        interior_dev = 0.0
+        for _ in range(100):
+            phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            phi[-1] = psi[-1] = 0.0
+            rho = rank_one(phi / np.linalg.norm(phi), psi / np.linalg.norm(psi))
+            interior_dev = max(interior_dev, float(np.abs(gen_hat(rho) - spec(rho)).max()))
+        sigma = band_domain_element(rates, 0, dim)
+        state = gen_hat.reset_state
+        return FalsifierReport(
+            interior_max_deviation=interior_dev,
+            reset_difference_trace_norm=trace_norm(gen_hat(sigma) - spec(sigma)),
+            base_defect=conservativity_defect(rates, lam, state),
+            reset_residual=conservativity_residual(gen_hat, state, t))
+
+    @pytest.mark.parametrize("rates, dim", [(POLY, 30), (POLY, 107), (GEO, 30),
+                                            (GeometricRates(1.01), 107)])
+    def test_band_route_equals_the_dense_route(self, rates, dim):
+        for seed in (3, 11):
+            assert falsifier_report(rates, dim, lam=1.0, t=1.0, seed=seed) == \
+                self.dense_report(rates, dim, 1.0, 1.0, seed)
+
     def test_report_consistent_polynomial(self):
         report = falsifier_report(POLY, 30, lam=1.0, t=1.0, seed=5)
         assert report.interior_max_deviation <= 1e-12

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semigroup_lab import (
+    BirthBandGenerator,
     NonFiniteError,
     StandardGeneratorSpec,
     TraceResetGenerator,
@@ -25,7 +26,7 @@ from semigroup_lab import (
 from semigroup_lab import generators, operators
 from semigroup_lab.rates import PolynomialRates
 
-from conftest import block_maps, random_operator, random_psd, random_vector
+from conftest import bits, block_maps, random_operator, random_psd, random_vector
 
 
 def svd_oracle(a):
@@ -308,6 +309,92 @@ class TestSuperopBlocks:
                @ rho.ravel()).reshape(6, 6)
         assert count == calls
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def sliced_blocks(m, v):
+    """(vector block, dense block) for each component that v occupies, cut by
+    scipy slicing from the block-diagonally permuted matrix."""
+    _, labels = scipy.sparse.csgraph.connected_components(m != 0, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    m = m[order][:, order]
+    return [(v[order[start:end]], m[start:end, start:end].toarray())
+            for start, end in ((bounds[k], bounds[k + 1]) for k in np.unique(labels[v != 0]))]
+
+
+class OwnMatrix:
+    """A map known only by its superoperator matrix."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def superop_matrix(self, dim):
+        return self.m
+
+
+def permuted_blocks(dim, rng):
+    """A random matrix of several blocks, its indices shuffled."""
+    sizes = rng.multinomial(dim * dim - 4, np.ones(4) / 4) + 1
+    m = scipy.linalg.block_diag(*(random_operator(k, rng) for k in sizes))
+    m[rng.random(m.shape) < 0.5] = 0.0
+    m[np.diag_indices_from(m)] = 1.0
+    p = rng.permutation(dim * dim)
+    return scipy.sparse.csr_array(m[p][:, p])
+
+
+def duplicates_and_signed_zeros():
+    """3x3 operators: duplicates whose sum depends on their order, -0.0
+    entries, a duplicate pair that cancels, and a stored zero that links no
+    two components."""
+    entries = [  # (row, column, value) in storage order
+        (0, 1, 0.1), (0, 1, 0.2), (0, 1, 0.3), (0, 0, complex(-0.0, -0.0)),
+        (1, 1, -0.0), (1, 0, 2.0), (2, 2, 1e16), (2, 2, 1.0), (2, 2, -1e16),
+        (3, 4, 0.5j), (3, 4, -0.5j), (4, 3, 1.0), (5, 8, 0.0), (6, 6, -0.0j),
+        (7, 7, 1.0), (7, 8, complex(1.0, -0.0)), (8, 7, -1.0)]
+    rows, cols, values = zip(*entries)
+    indptr = np.searchsorted(rows, np.arange(10))
+    m = scipy.sparse.csr_array((np.array(values, dtype=complex), np.array(cols), indptr),
+                               shape=(9, 9))
+    assert not m.has_canonical_format
+    return m
+
+
+class TestBlockAssembly:
+    """_blockwise_apply's blocks, summed from the CSR triplets, against the
+    slices of the permuted matrix, bit for bit."""
+
+    def assert_same_blocks(self, superop, rho):
+        seen = []
+        operators._blockwise_apply(superop, rho, lambda a, x: seen.append((x, a)) or x)
+        expected = sliced_blocks(superop_matrix(superop, rho.shape[0]), rho.ravel())
+        assert len(seen) == len(expected)
+        for (x, a), (y, b) in zip(seen, expected):
+            assert np.array_equal(x, y)
+            assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+    def test_cli_matrices(self, rng):
+        # nonstandard's reset generator at N=30, minimal's birth generator at N=40
+        reset = TraceResetGenerator(base=BirthBandGenerator(PolynomialRates(1.0, 2.0), 30),
+                                    reset_state=matrix_unit(0, 0, 30))
+        for rho in (matrix_unit(0, 0, 30), random_operator(30, rng)):
+            self.assert_same_blocks(reset, rho)
+        self.assert_same_blocks(birth_generator(PolynomialRates(1.0, 2.0), 40),
+                                random_psd(40, rng))
+
+    def test_random_map_of_several_components(self, rng):
+        for _ in range(5):
+            m = permuted_blocks(5, rng)
+            assert len(components(m)) >= 4
+            self.assert_same_blocks(OwnMatrix(m), random_operator(5, rng))
+
+    def test_duplicates_and_signed_zeros_sum_as_toarray(self, rng):
+        m = duplicates_and_signed_zeros()
+        self.assert_same_blocks(OwnMatrix(m), random_operator(3, rng))
+        self.assert_same_blocks(OwnMatrix(m), matrix_unit(2, 2, 3))
+
+    def test_column_loop_map(self, rng):
+        spec = birth_generator(PolynomialRates(1.0, 2.0), 5)
+        self.assert_same_blocks(lambda x: spec(x), random_operator(5, rng))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 6))

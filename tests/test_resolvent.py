@@ -22,7 +22,7 @@ from semigroup_lab import (
     superop_matrix,
     trace_norm,
 )
-from semigroup_lab.rates import PolynomialRates
+from semigroup_lab.rates import PolynomialRates, parse_rate_spec
 
 from conftest import block_maps, random_operator, random_psd
 
@@ -155,6 +155,67 @@ class TestResolventSeries:
         lhs = series_resolvent(lam, rho) - series_resolvent(nu, rho)
         rhs = (nu - lam) * series_resolvent(lam, series_resolvent(nu, rho))
         assert trace_norm(lhs - rhs) <= 1e-8
+
+
+def svd_series(r0, perturbation, lam, rho, tol):
+    """The series' loop with every increment and value measured by an SVD
+    trace norm: (value, iterations, trace trajectory, converged)."""
+    term = r0(rho)
+    value = term.copy()
+    trajectory = [lam * float(np.real(np.trace(value)))]
+    for n in range(1, 10 ** 6 + 1):
+        term = r0(perturbation(term))
+        value += term
+        trajectory.append(lam * float(np.real(np.trace(value))))
+        inc = trace_norm(term)
+        if inc <= tol and inc <= tol * max(trace_norm(value), 1e-300):
+            return value, n, trajectory, True
+    return value, n, trajectory, False
+
+
+def minimal_rho(dim, seed):
+    """The random state of the `minimal` subcommand."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestTraceIncrements:
+    """On a positive input every term is positive, and the series measures
+    it by its trace; it stops where the SVD trace norms would stop."""
+
+    @pytest.mark.parametrize("spec", ["poly:1:2", "geom:2", "poly:1:1.5"])
+    @pytest.mark.parametrize("dim", [8, 40, 107])
+    def test_same_terms_and_bits_as_svd_increments(self, spec, dim):
+        rates = parse_rate_spec(spec)
+        gen = birth_generator(rates, dim)
+        r0 = lambda x: no_event_resolvent(rates, 1.0, x)
+        jump = lambda x: apply_jump(gen, x)
+        for seed in range(6):
+            rho = minimal_rho(dim, seed)
+            result = resolvent_series(r0, jump, 1.0, rho, tol=1e-10)
+            value, iterations, trajectory, converged = svd_series(r0, jump, 1.0, rho, 1e-10)
+            assert (result.iterations, result.converged) == (iterations, converged)
+            assert result.trace_trajectory == trajectory
+            assert np.array_equal(result.value, value)
+
+    @pytest.mark.parametrize("make_rho, svds", [(random_psd, False), (random_operator, True)])
+    def test_trace_norm_only_off_positive_inputs(self, rng, monkeypatch, make_rho, svds):
+        calls = 0
+
+        def counting(a):
+            nonlocal calls
+            calls += 1
+            return trace_norm(a)
+
+        monkeypatch.setattr(semigroup_lab.resolvent, "trace_norm", counting)
+        spec = birth_generator(RATES, 8)
+        result = resolvent_series(lambda x: no_event_resolvent(RATES, 1.0, x),
+                                  lambda x: apply_jump(spec, x), 1.0, make_rho(8, rng))
+        assert result.converged
+        # one per term, and one for the value at least at the last term
+        assert (calls > result.iterations) if svds else (calls == 0)
 
 
 class TestBlockwiseSolves:
