@@ -32,22 +32,31 @@ import numpy as np
 from .bands import band_solve, map_bands
 from .generators import StandardGeneratorSpec
 from .operators import as_operator
-from .rates import ExplicitRates, GeometricRates, RateRangeError, RateSequence, _check_index
+from .rates import ExplicitRates, GeometricRates, MonotoneRates, RateRangeError, \
+    RateSequence, _check_index
 
 # factors per block of the arrival product; bounds its temporaries to 512 kB
 _PRODUCT_BLOCK = 2 ** 16
 _MAX_FACTORS = 10 ** 7
+# factors multiplied before a closed-form tail may take over, and the share of
+# the head's log sum within which the tail is certified, in at most _MAX_TERMS
+# terms of its series
+_HEAD = 2 ** 12
+_TAIL_TOL = 2.0 ** -60
+_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
 class ArrivalBracket:
     """Truncated infinite product: the tail of exact factors left after
-    n_factors puts it in [value - width, value].  Not covered: the rounding
-    of the factors multiplied, which is not outward.  value is exp of their
-    log1p sum rounded once, measured within (4 + L) 2^-52 relative of their
-    exact product, L = -log(value) (poly:1:3 at lambda = 1: 2.7e-16, against a
-    width of 1.0e-12 that still leaves the exact infinite product just below
-    value - width), at a floor exit as at a tail-bound one."""
+    n_factors puts it in [value - width, value].  n_factors counts the factors
+    the value represents, not those multiplied one by one: past the first
+    2^12 or so, poly, geom and const factors enter as a closed-form log sum.
+    Not covered: the rounding of the value, which is not outward.  It is exp
+    of the factors' log1p sum rounded once, measured within (4 + L) 2^-52
+    relative of their exact product, L = -log(value) (poly:1:3 at lambda = 1:
+    1.3e-16, one ulp, against a width of 1.0e-12), at a floor exit as at a
+    tail-bound one."""
 
     value: float
     width: float
@@ -167,39 +176,120 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
     return band_solve(source, weight, lam + 0.5 * (mu_n + mu_m))
 
 
-def _arrival_product(rates: RateSequence, lam: float, n_start: int,
-                     count: int, floor: float) -> tuple[float, int, bool]:
-    """(product, factors multiplied, whether it stopped at the floor) of
-    1/(1 + lambda/mu_j) from j = n_start, in order and in blocks, to `count`
-    factors or the first partial product <= floor.  Each partial product is
-    exp(-s), s the log1p sum of its factors, so it is rounded once, subnormal
-    or not.  The finished blocks' pairwise sums are carried by math.fsum as
-    hi + lo, with hi their correctly rounded total.  The floor is compared
-    with a running sum within the block; the product it stops at is then
-    formed from hi, lo and that block's logs by math.fsum, so it may lie an
-    ulp or so above the floor.  A rate that overflows is a factor of 1, a
-    ratio that overflows a factor of 0."""
-    _check_index(n_start, count)
-    hi = lo = 0.0
-    for done in range(0, count, _PRODUCT_BLOCK):
+def _log1p_sums(rates: RateSequence, lam: float, n_start: int, done: int,
+                count: int, floor: float, hi: float = 0.0,
+                lo: float = 0.0) -> tuple[float, float, Optional[int]]:
+    """The log1p sum of 1/(1 + lambda/mu_j) over factors done..count - 1 from
+    j = n_start, in order and in blocks, carried from (hi, lo): returns the
+    carry and None, or at the first partial product <= floor its sum, 0 and
+    the factors it holds.  The finished blocks' pairwise sums are carried by
+    math.fsum as hi + lo, with hi their correctly rounded total.  The floor is
+    compared with a running sum within the block; the sum it stops at is then
+    formed from hi, lo and that block's logs by math.fsum, so its product may
+    lie an ulp or so above the floor.  A rate that overflows is a factor of 1,
+    a ratio that overflows a factor of 0."""
+    for done in range(done, count, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):
             ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
         logs = np.log1p(ratio)
         small = np.flatnonzero(np.exp(-(hi + np.cumsum(logs))) <= floor)
         if small.size:
             k = int(small[0]) + 1
-            return math.exp(-math.fsum((hi, lo, *logs[:k].tolist()))), done + k, True
+            return math.fsum((hi, lo, *logs[:k].tolist())), 0.0, done + k
         terms = (hi, lo, float(logs.sum()))
         hi = math.fsum(terms)
         lo = math.fsum((*terms, -hi))
-    return math.exp(-hi), count, False
+    return hi, lo, None
+
+
+def _head_length(rates: RateSequence, lam: float, n_start: int, count: int) -> int:
+    """Factors the log1p loop multiplies before a closed-form tail takes over:
+    all of them for a list or fewer than _HEAD, else at least _HEAD, and for
+    falling ratios lam/mu_j on to the first <= 1/4.  Rising ratios take a tail
+    only if the last is <= 1/4, constant ones whatever they are."""
+    if count <= _HEAD or not isinstance(rates, MonotoneRates):
+        return count
+
+    def small(k: int) -> bool:  # lam / mu_{n_start + k} <= 1/4
+        with np.errstate(over="ignore"):
+            return 4.0 * lam <= rates.mu(n_start + k)
+
+    if small(count - 1):  # the ratios past the head are monotone
+        if small(_HEAD):  # the common case, with no bisection
+            return _HEAD
+        return bisect.bisect_left(range(count), True, lo=_HEAD + 1, key=small)
+    with np.errstate(over="ignore"):  # equal ends of monotone rates: const or geom:1
+        constant = rates.mu(n_start) == rates.mu(n_start + count - 1)
+    return _HEAD if constant else count
+
+
+def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
+                tol: float) -> Optional[list]:
+    """Terms that sum to sum_{j=start}^{start+count-1} log1p(lam/mu_j) in closed
+    form, or None where none is certified within tol.
+
+    Constant ratios give count * log1p(x).  Otherwise the alternating series
+    sum_k (-1)^(k+1) S_k / k, S_k = sum_j (lam/mu_j)^k from rates.power_sums,
+    is cut after K terms: its rest is at most x^K S_1 / (K+1), x the largest
+    ratio (<= 1/4, so the terms fall by 4 each).  K grows until the cut and
+    every power sum's error bound so far are <= tol; these bounds grow with
+    count, so a shorter tail from the same start is certified if this one is."""
+    with np.errstate(over="ignore"):
+        x, x_end = lam / rates.mu(start), lam / rates.mu(start + count - 1)
+    if x == x_end:  # constant ratios: const, geom:1, or a tail of one factor
+        return [count * math.log1p(x)]
+    x_max = max(x, x_end)
+    power_sum = rates.power_sums(lam, start, count)
+    terms, worst = [], 0.0
+    for k in range(1, _MAX_TERMS + 1):
+        pieces, remainder = power_sum(k)
+        if k == 1:
+            first = math.fsum(pieces)
+        terms += pieces if k % 2 else [-v for v in pieces]
+        worst = max(worst, remainder)
+        if worst <= tol and x_max ** k * first / (k + 1) <= tol:
+            return terms
+    return None
+
+
+def _arrival_product(rates: RateSequence, lam: float, n_start: int,
+                     count: int, floor: float) -> tuple[float, int, bool]:
+    """(product, factors represented, whether it stopped at the floor) of
+    1/(1 + lambda/mu_j) from j = n_start, to `count` factors or the first
+    partial product <= floor.  Each partial product is exp(-s), s the log1p
+    sum of its factors, so it is rounded once, subnormal or not.  The first
+    _head_length factors are multiplied by _log1p_sums, exactly as a count
+    that fits in them is; the rest is a closed-form tail, added to the head's
+    fsum carry, or multiplied too where none is certified to _TAIL_TOL of the
+    head's sum.  A floor exit in the tail is found by bisecting on its sum,
+    which grows with the count."""
+    _check_index(n_start, count)
+    head = _head_length(rates, lam, n_start, count)
+    hi, lo, stop = _log1p_sums(rates, lam, n_start, 0, head, floor)
+    if stop is None and head < count:
+        def total(k: int) -> Optional[float]:  # the log sum of head + k factors
+            tail = _tail_terms(rates, lam, n_start + head, k, _TAIL_TOL * hi)
+            return None if tail is None else math.fsum((hi, lo, *tail))
+
+        whole = total(count - head)
+        if whole is None:
+            hi, lo, stop = _log1p_sums(rates, lam, n_start, head, count, floor, hi, lo)
+        elif math.exp(-whole) <= floor:
+            stop = head + 1 + bisect.bisect_left(
+                range(1, count - head), True, key=lambda k: math.exp(-total(k)) <= floor)
+            hi = total(stop - head)
+        else:
+            hi = whole
+    return math.exp(-hi), (count if stop is None else stop), stop is not None
 
 
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
                             count: int) -> float:
     """Product of 1/(1 + lambda/mu_j) over exactly `count` factors from j = n_start:
     the Laplace transform of the time to climb through these levels, so with
-    count = N - n_start the defect of the chain truncated at N from level n_start."""
+    count = N - n_start the defect of the chain truncated at N from level n_start.
+    Past its head of about 2^12 factors a poly, geom or const product costs
+    O(1) in count, by the closed-form tail of _arrival_product."""
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     return _arrival_product(rates, lam, n_start, count, 0.0)[0]  # 0 stays 0
@@ -211,10 +301,13 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     prod_{j >= n_start} 1/(1 + lambda/mu_j), enclosed in [value - width, value].
 
     It is exactly 0 when sum_j 1/mu_j diverges (conservative case).  Otherwise
-    factors are multiplied until the tail bound lambda * sum_{j >= J} 1/mu_j
-    certifies the bracket to tail_tol, or the partial product drops to tail_tol;
-    RuntimeError when neither can happen within _MAX_FACTORS factors.  An
-    explicit list is multiplied whole and must leave a provably negligible tail.
+    the product runs over the first J factors, J bisected for the tail bound
+    lambda * sum_{j >= J} 1/mu_j to certify the bracket to tail_tol, or up to
+    the first partial product <= tail_tol; RuntimeError when neither can
+    happen within _MAX_FACTORS factors.  Of the J factors (poly:1:3 at
+    lambda = 1: 707,107) about 2^12 are multiplied and the rest summed in
+    closed form, as _arrival_product says.  An explicit list is multiplied
+    whole and must leave a provably negligible tail.
     """
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")

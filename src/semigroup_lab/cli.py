@@ -30,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .birth import _PRODUCT_BLOCK, arrival_laplace, arrival_partial_product, \
-    birth_generator, no_event_resolvent
+from .birth import arrival_laplace, arrival_partial_product, birth_generator, \
+    no_event_resolvent
 from .diffusion import KernelGrid, QuadratureError, _grid_intervals, \
     apply_resolvent, apply_semigroup, diagonal_slope, kernel_trace, trace_loss
 from .generators import apply_jump
-from .nonstandard import falsifier_report
+from .nonstandard import FalsifierError, falsifier_report
 from .operators import MatrixExponentialError, NonFiniteError, trace_norm
 from .rates import ExplicitRates, RateRangeError, RateSpecError, parse_rate_spec
 from .resolvent import SeriesDivergenceError, resolvent_direct, resolvent_series
@@ -44,7 +44,7 @@ from .trajectories import BiasCheckError, TrajectoryStreams, \
 
 _NUMERICAL_FAILURES = (SeriesDivergenceError, BiasCheckError, QuadratureError,
                        RateRangeError, MatrixExponentialError, NonFiniteError,
-                       FloatingPointError)
+                       FalsifierError, FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -64,8 +64,9 @@ _NUMBER = ("a finite number", lambda v: isinstance(v, (int, float))
            and not isinstance(v, bool) and _finite(v))
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STR = ("a string", lambda v: isinstance(v, str))
-# each lambda is a full pass (birth poly:1:3 at N = 2**26: 2.6 s for one
-# lambda, 20.6 s for sixteen on a 2-core host), so a list is bounded like N
+# each lambda takes two arrival products of about 2**12 rates each (birth
+# poly:1:3 at N = 2**26: 0.24-0.39 s for one lambda and 0.25-0.45 s for
+# sixteen, mostly start-up, on a 2-core host); a list is bounded like N
 _LAMBDAS = ("a finite number or a list of at most 16 finite numbers",
             lambda v: _NUMBER[1](v) or (isinstance(v, list) and 0 < len(v) <= 16
                                         and all(_NUMBER[1](x) for x in v)))
@@ -79,11 +80,10 @@ _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
-# birth's rate check and arrival products hold one block of rates at a time,
-# so its peak does not grow with N (N = 2**26, poly:1:3: 60 MB resident peak,
-# 2.6 s for one lambda on a 2-core host)
-_DIMENSION = ("at least 2 and at most 2**26, for about 2 s per lambda",
-              lambda v: 2 <= v <= 2 ** 26)
+# birth reads the top rate and about 2**12 per arrival product, so
+# neither its time nor its peak grows with N (N = 2**26, poly:1:3: 30 MB
+# resident peak, 0.24-0.39 s for one lambda on a 2-core host)
+_DIMENSION = ("at least 2 and at most 2**26", lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard ran in 0.68-1.16 s wall and minimal in 0.73-0.95 s,
 # mostly start-up, with a 70 MB resident peak: nonstandard exponentiates one
 # N x N block (0.024 s) and makes 202 O(N**2) band generator calls; minimal's
@@ -233,8 +233,9 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     tail_tol = config.get("tail_tol", 1e-12)
     if not 0 <= n_start < dim:
         raise ConfigError("n_start must lie in [0, N)")
-    for start in range(0, dim, _PRODUCT_BLOCK):  # one block of rates at a time
-        rates.finite_mu_array(start, min(_PRODUCT_BLOCK, dim - start))
+    bad = rates.first_nonfinite(dim)
+    if bad is not None:
+        rates.finite_mu_array(bad, 1)  # refuses mu_bad
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
@@ -293,6 +294,8 @@ def _run_nonstandard(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"], config["N"])
     dim, lam, t = config["N"], float(config["lambda"]), float(config["t"])
     report = falsifier_report(rates, dim, lam=lam, t=t, seed=seed)
+    if not report.consistent():
+        raise FalsifierError(f"the falsifier report fails its own checks: {report}")
     writer.json("nonstandard.json", {
         "p11": report.base_defect,  # the defect of the reset state |0><0|
         "interior_max_deviation": report.interior_max_deviation,

@@ -61,6 +61,10 @@ class TraceResetGenerator:
         return m - csr_array(self.reset_state.reshape(-1, 1)) @ trace_row
 
 
+class FalsifierError(RuntimeError):
+    """A falsifier report that fails FalsifierReport.consistent()."""
+
+
 @dataclass(frozen=True)
 class FalsifierReport:
     """Numerical ingredients of the non-standardness argument."""

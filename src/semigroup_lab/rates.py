@@ -12,9 +12,11 @@ Parsing emits errors with a character offset.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,6 +54,13 @@ class RateSequence:
             raise NonFiniteError(f"refusing the non-finite rate mu_{start + n} = {mu[n]}")
         return mu
 
+    def first_nonfinite(self, levels: int) -> Optional[int]:
+        """The first n < levels whose mu_n is not finite, or None.  This reads
+        every rate; a monotone family reads O(log levels) of them."""
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(self.mu_array(0, levels)))
+        return int(bad[0]) if bad.size else None
+
     def inverse_tail(self, start: int) -> float:
         """Upper bound on sum_{j >= start} 1/mu_j, non-increasing in start and
         finite whenever the true sum converges (so inf certifies divergence).
@@ -59,6 +68,30 @@ class RateSequence:
         For explicit lists only the listed range is summed; there is no tail
         to bound.
         """
+        raise NotImplementedError
+
+
+PowerSums = Callable[[int], tuple]
+
+
+class MonotoneRates(RateSequence):
+    """A family with mu_n monotone in n from a finite mu_0, so that ratios
+    lam/mu_n are monotone too and only a run of top levels can overflow, and
+    with its power sums of those ratios in closed form."""
+
+    def first_nonfinite(self, levels: int) -> Optional[int]:
+        def overflows(n: int) -> bool:
+            with np.errstate(over="ignore"):
+                return not math.isfinite(self.mu(n))
+
+        if not overflows(levels - 1):
+            return None
+        return bisect.bisect_left(range(levels), True, key=overflows)
+
+    def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
+        """k -> (pieces, bound): float pieces that sum to S_k / k, S_k =
+        sum_{j=start}^{start+count-1} (lam/mu_j)^k, and a bound on the error
+        of that sum, for k >= 1."""
         raise NotImplementedError
 
 
@@ -73,7 +106,7 @@ def _check_index(n: int, count: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class PolynomialRates(RateSequence):
+class PolynomialRates(MonotoneRates):
     """mu_n = c * (n+1)**p."""
 
     c: float
@@ -96,9 +129,33 @@ class PolynomialRates(RateSequence):
         head = sum(1.0 / self.mu(j) for j in range(start, s))
         return head + s ** (1.0 - self.p) / ((self.p - 1.0) * self.c)
 
+    def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
+        """S_k = (lam/c)^k sum_{m=a}^b m^(-s), s = pk, m = j + 1, by
+        Euler-Maclaurin through the B4 term (DLMF 2.10.1), with b - a exact.
+        m^(-s) is completely monotone, so the remainder lies between 0 and the
+        B6 term, and below its b = inf value (lam/c)^k (s)_5 / (30240 a^(s+5))."""
+        with np.errstate(over="ignore"):
+            x = lam / self.mu(start)
+        p = self.p
+        a, b = start + 1.0, start + float(count)
+        log_r = -math.log1p((count - 1) / a)  # log(a/b)
+        lead = x * a  # (lam/c) a^(1-p)
+
+        def power_sum(k: int) -> tuple[list, float]:
+            s = p * k
+            coef = lead * x ** (k - 1) / k  # (lam/c)^k a^(1-s) / k
+            r_s = math.exp(s * log_r)  # (a/b)^s
+            integral = -log_r if s == 1 else -math.expm1((s - 1) * log_r) / (s - 1)
+            ends = ((1 + r_s) / 2 + s / 12 * (1 / a - r_s / b)
+                    - s * (s + 1) * (s + 2) / 720 * (a ** -3 - r_s / b ** 3)) / a
+            b6 = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240 / a ** 6
+            return [coef * integral, coef * ends], coef * b6
+
+        return power_sum
+
 
 @dataclass(frozen=True)
-class GeometricRates(RateSequence):
+class GeometricRates(MonotoneRates):
     """mu_n = a**n."""
 
     a: float
@@ -117,9 +174,22 @@ class GeometricRates(RateSequence):
             return math.inf
         return self.a ** (-start) / (1.0 - 1.0 / self.a)
 
+    def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
+        """S_k is a geometric series: from the largest ratio x, at either end,
+        the ratios fall by q = a^(-1) or a per level, whichever is below 1
+        (a = 1, constant ratios, has q = 1 and no such closed form)."""
+        with np.errstate(over="ignore"):
+            x = max(lam / self.mu(start), lam / self.mu(start + count - 1))
+        log_q = -abs(math.log(self.a))
+
+        def power_sum(k: int) -> tuple[list, float]:
+            return [x ** k * math.expm1(count * k * log_q) / math.expm1(k * log_q) / k], 0.0
+
+        return power_sum
+
 
 @dataclass(frozen=True)
-class ConstantRates(RateSequence):
+class ConstantRates(MonotoneRates):
     """mu_n = c."""
 
     c: float
@@ -135,6 +205,10 @@ class ConstantRates(RateSequence):
     def inverse_tail(self, start: int) -> float:
         _check_index(start)
         return math.inf
+
+    def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
+        x = lam / self.c
+        return lambda k: ([count * x ** k / k], 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -480,6 +481,167 @@ class TestArrivalProduct:
         shifted = arrival_laplace(GEO, 1.0, n_start=3)
         direct = np.prod([1.0 / (1.0 + 1.0 / GEO.mu(j)) for j in range(3, 60)])
         assert shifted.value == pytest.approx(direct, rel=1e-10)
+
+
+def loop_product(rates, lam, n_start, count, floor):
+    """The blocked log1p loop over every factor, as the arrival product ran
+    before it had a closed-form tail: (product, factors, stopped at floor)."""
+    block = semigroup_lab.birth._PRODUCT_BLOCK
+    hi = lo = 0.0
+    for done in range(0, count, block):
+        with np.errstate(over="ignore"):
+            ratio = lam / rates.mu_array(n_start + done, min(block, count - done))
+        logs = np.log1p(ratio)
+        small = np.flatnonzero(np.exp(-(hi + np.cumsum(logs))) <= floor)
+        if small.size:
+            k = int(small[0]) + 1
+            return math.exp(-math.fsum((hi, lo, *logs[:k].tolist()))), done + k, True
+        terms = (hi, lo, float(logs.sum()))
+        hi = math.fsum(terms)
+        lo = math.fsum((*terms, -hi))
+    return math.exp(-hi), count, False
+
+
+@functools.lru_cache(maxsize=None)
+def head_log_sum(rates, lam, n_start):
+    """The log sum over the head's double rates, to 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40), np.errstate(over="ignore"):
+        mu = rates.mu_array(n_start, semigroup_lab.birth._HEAD).tolist()
+        return mpmath.fsum(mpmath.log1p(mpmath.mpf(lam) / mpmath.mpf(m)) for m in mu)
+
+
+def series_log_sum(mpmath, term):
+    """sum_k (-1)^(k+1) term(k) / k, to 40 digits, for terms falling by 4 or more."""
+    total, k = mpmath.mpf(0), 1
+    while True:
+        step = (-1) ** (k + 1) * term(k) / k
+        total += step
+        if abs(step) <= mpmath.mpf(10) ** -42 * abs(total):
+            return total
+        k += 1
+
+
+def exact_tail(mpmath, rates, lam, start, count):
+    """sum_{j=start}^{start+count-1} log1p(lam/mu_j) over the exact rates: Hurwitz
+    zeta differences for poly, geometric sums for geom, count log1p for const."""
+    lam = mpmath.mpf(lam)
+    if isinstance(rates, ConstantRates):
+        return count * mpmath.log1p(lam / mpmath.mpf(rates.c))
+    if isinstance(rates, GeometricRates):
+        g = mpmath.mpf(rates.a)
+        return series_log_sum(mpmath, lambda k: (lam / g ** start) ** k
+                              * (1 - g ** (-k * count)) / (1 - g ** -k))
+    x, p, a, b = lam / mpmath.mpf(rates.c), mpmath.mpf(rates.p), start + 1, start + count
+
+    def power_sum(k):  # sum_{m=a}^b m^(-pk)
+        if p * k == 1:
+            return mpmath.digamma(b + 1) - mpmath.digamma(a)
+        return mpmath.zeta(p * k, a) - mpmath.zeta(p * k, b + 1)
+
+    return series_log_sum(mpmath, lambda k: x ** k * power_sum(k))
+
+
+TAIL_COUNTS = (2 ** 12 + 1, 10 ** 5, 707107, 2 ** 24, 2 ** 26)
+# (rates, lambda, n_start): each ratio past the head is at most 1/4, and no
+# product underflows
+TAIL_CASES = [
+    *((PolynomialRates(c, p), lam, n_start) for p in (1.0, 1.1, 2.0, 2.5, 3.0)
+      for c, lam, n_start in ((1.0, 1.0, 0), (2.5, 7.0, 0), (0.3, 0.01, 1000))),
+    (GeometricRates(1.001), 0.01, 0), (GeometricRates(1.001), 0.1, 3000),
+    (GeometricRates(1.01), 1.0, 0), (GeometricRates(1.01), 5.0, 1000),
+    (GeometricRates(2.0), 0.5, 0), (GeometricRates(2.0), 100.0, 5),
+    (GeometricRates(1 - 1e-8), 1e-6, 0),  # rising ratios, below 1/4 to level 2^26
+    (ConstantRates(1.0), 1e-6, 0), (ConstantRates(0.5), 2e-6, 7),
+]
+
+
+class TestArrivalTail:
+    # past a head of 2^12 factors (more while lambda/mu_j > 1/4) the log sum
+    # is summed in closed form; the head is the blocked loop it always was
+
+    @pytest.mark.parametrize("rates, lam, n_start", TAIL_CASES)
+    def test_tail_matches_mpmath(self, rates, lam, n_start):
+        # the head's logs over its double rates and the tail over the exact
+        # ones, to 40 digits, against the route within (4 + L) 2^-52
+        mpmath = pytest.importorskip("mpmath")
+        head = semigroup_lab.birth._HEAD
+        for count in TAIL_COUNTS:
+            assert semigroup_lab.birth._head_length(rates, lam, n_start, count) == head
+            with mpmath.workdps(40):
+                log_sum = head_log_sum(rates, lam, n_start) + exact_tail(
+                    mpmath, rates, lam, n_start + head, count - head)
+                expected = float(mpmath.exp(-log_sum))
+            assert expected > 0.0
+            assert_log_rounding(arrival_partial_product(rates, lam, n_start, count), expected)
+
+    @pytest.mark.parametrize("p", [1.0, 1.1, 2.0, 2.5, 3.0])
+    def test_tail_from_a_low_level(self, p):
+        # from level 299 the B4 term moves poly:1:1's log sum by 1e-12, far
+        # above the rounding bound, and the B6 remainder stays below 1e-16
+        mpmath = pytest.importorskip("mpmath")
+        rates = PolynomialRates(1.0, p)
+        for count in (1, 2, 1000, 10 ** 5, 2 ** 26):
+            terms = semigroup_lab.birth._tail_terms(rates, 1.0, 299, count, 1e-16)
+            with mpmath.workdps(40):
+                expected = float(mpmath.exp(-exact_tail(mpmath, rates, 1.0, 299, count)))
+            assert_log_rounding(math.exp(-math.fsum(terms)), expected)
+        # from level 9 the B6 remainder exceeds 1e-16: no tail is certified
+        assert semigroup_lab.birth._tail_terms(rates, 1.0, 9, 1000, 1e-16) is None
+
+    @pytest.mark.parametrize("rates, lam, counts", [
+        (PolynomialRates(1.0, 3.0), 1.0, (1, 100, 4095, 4096)),
+        (GeometricRates(1.01), 0.5, (4000, 4096)),
+        (ConstantRates(2.0), 1e-3, (17, 4096)),
+        # lambda/mu_j > 1/4 up to level 19998: the head runs on to it
+        (LINEAR, 5000.0, (4097, 10 ** 4, 19999)),
+        # rising ratios past 1/4 by the last level: the loop runs to the end
+        (GeometricRates(0.9999), 0.2, (4097, 5000, 20000)),
+        (ExplicitRates(tuple(1.0 + np.arange(5000.0))), 0.5, (4097, 5000)),
+    ])
+    def test_head_is_the_loop_bit_for_bit(self, rates, lam, counts):
+        for count in counts:
+            assert semigroup_lab.birth._head_length(rates, lam, 0, count) == count
+            expected = loop_product(rates, lam, 0, count, 0.0)[0]
+            assert arrival_partial_product(rates, lam, 0, count) == expected
+
+    def test_floor_exit_past_the_head(self):
+        # poly:1:1.5 from level 10^4 at lambda = 2000 reaches the floor 1e-12
+        # after 94,765 factors, far past the head; the tail sum is bisected
+        rates = PolynomialRates(1.0, 1.5)
+        bracket = arrival_laplace(rates, 2000.0, n_start=10 ** 4)
+        value, k, floored = loop_product(rates, 2000.0, 10 ** 4, 10 ** 7, 1e-12)
+        assert floored and k > 20 * semigroup_lab.birth._HEAD
+        assert (bracket.n_factors, bracket.width) == (k, bracket.value)
+        assert bracket.value <= 1e-12
+        assert_log_rounding(bracket.value, value)
+
+    @pytest.mark.parametrize("call, factors", [
+        (lambda: arrival_laplace(PolynomialRates(1.0, 3.0), 1.0).n_factors, 707107),
+        (lambda: arrival_laplace(PolynomialRates(1.0, 2.0), 1.0, tail_tol=1e-6).n_factors,
+         None),
+        (lambda: arrival_partial_product(PolynomialRates(1.0, 2.0), 1.0, 0, 2 ** 26), None),
+    ])
+    def test_reads_about_the_head_of_rates(self, monkeypatch, call, factors):
+        reads = []
+        mu_array = PolynomialRates.mu_array
+
+        def counted(self, start, count):
+            reads.append(count)
+            return mu_array(self, start, count)
+
+        monkeypatch.setattr(PolynomialRates, "mu_array", counted)
+        result = call()
+        assert factors is None or result == factors
+        assert sum(reads) <= 2 ** 12 + 64
+
+    def test_uncertified_tail_is_multiplied(self, monkeypatch):
+        # with no tail certified the loop carries on from the head's sum
+        monkeypatch.setattr(semigroup_lab.birth, "_MAX_TERMS", 1)
+        rates = PolynomialRates(1.0, 2.0)
+        value = arrival_partial_product(rates, 1.0, 0, 10 ** 5)
+        assert value == loop_product(rates, 1.0, 0, 10 ** 5, 0.0)[0]
 
 
 class TestArrivalClosedForms:

@@ -136,6 +136,24 @@ class TestTrajectorySubcommand:
 
 
 class TestNonstandardSubcommand:
+    @pytest.mark.parametrize("dim", [30, 40, 60])
+    def test_inconsistent_report_exits_3(self, tmp_path, capsys, dim):
+        # geom:2's stiff top rates spoil the falsifier's own checks: interior
+        # deviations of 5.7e-9, 3.0e-6 and 3.61 against 1e-12 at seed 0
+        code, out = run_cli(tmp_path, "nonstandard",
+                            {"rates": "geom:2", "N": dim, "lambda": 1, "t": 1})
+        assert_clean_exit(capsys, code, 3,
+                          "numerical failure: the falsifier report fails its own checks")
+        assert not any(out.iterdir())
+
+    def test_consistent_report_at_the_largest_dimension(self, tmp_path):
+        code, out = run_cli(tmp_path, "nonstandard",
+                            {"rates": "poly:1:2", "N": 107, "lambda": 1, "t": 1})
+        assert code == 0
+        report = read_json(out / "nonstandard.json")
+        assert report["interior_max_deviation"] <= 1e-12
+        assert report["reset_residual"] <= 1e-9
+
     def test_report_fields(self, tmp_path):
         code, out = run_cli(tmp_path, "nonstandard",
                             {"rates": "geom:2", "N": 16, "lambda": 1.0,
@@ -639,8 +657,8 @@ class TestNonFiniteOutput:
         assert not (out / "arrival.csv").exists()
 
     def test_rate_check_names_the_level_past_its_first_block(self, tmp_path, capsys):
-        # the rates are checked one block of 2**16 at a time; 1.01**n
-        # overflows from n = 71333, in the second block
+        # the top rate overflows, so the first that does is bisected for:
+        # 1.01**n overflows from n = 71333
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(tmp_path, "birth",
@@ -648,6 +666,31 @@ class TestNonFiniteOutput:
         assert_clean_exit(capsys, code, 3,
                           "numerical failure: refusing the non-finite rate mu_71333 ")
         assert not (out / "arrival.csv").exists()
+
+    @pytest.mark.parametrize("rates, dim, most", [
+        # monotone rates: the two ends and the arrival heads, 2**12 rates or
+        # so per product, whatever N
+        ("poly:1:3", 2 ** 26, 4 * (2 ** 12 + 64)),
+        ("geom:1.01", 71333, 4 * (2 ** 12 + 64)),
+        ("const:2", 10 ** 6, 4 * (2 ** 12 + 64)),
+        # a list is checked whole
+        pytest.param("list:" + ",".join(["1"] * 5000), 5000, 5 * 5000, id="list"),
+    ])
+    def test_rate_check_reads_the_ends(self, tmp_path, monkeypatch, rates, dim, most):
+        reads = []
+        sequence = type(parse_rate_spec(rates))
+        mu_array = sequence.mu_array
+
+        def counted(self, start, count):
+            reads.append(count)
+            return mu_array(self, start, count)
+
+        monkeypatch.setattr(sequence, "mu_array", counted)
+        code, out = run_cli(tmp_path, "birth", {"rates": rates, "lambda": [1, 2], "N": dim})
+        assert code == 0
+        assert sum(reads) <= most
+        if rates.startswith("list"):
+            assert reads[0] == dim
 
     def test_overflowing_arrival_factors_exit_3(self, tmp_path, capsys):
         # the arrival product starts past the overflow, at mu_1030 = inf

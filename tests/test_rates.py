@@ -13,6 +13,7 @@ from semigroup_lab.rates import (
     GeometricRates,
     PolynomialRates,
     RateRangeError,
+    RateSequence,
     RateSpecError,
     parse_rate_spec,
 )
@@ -120,6 +121,56 @@ class TestInverseTail:
     def test_explicit_sums_listed_range(self):
         r = ExplicitRates((1.0, 2.0, 4.0))
         assert r.inverse_tail(1) == pytest.approx(0.75)
+
+
+
+class TestFirstNonfinite:
+    @pytest.mark.parametrize("rates, levels, first", [
+        (GeometricRates(1.01), 10 ** 5, 71333),  # 1.01**71333 overflows
+        (GeometricRates(1.01), 71333, None),
+        (PolynomialRates(1.0, 200.0), 1000, 34),  # 35**200 overflows
+        (GeometricRates(0.5), 5000, None),  # underflow to 0 is finite
+        (ConstantRates(3.0), 10 ** 6, None),
+        (ExplicitRates((1.0, 2.0, 3.0)), 3, None),
+    ])
+    def test_matches_reading_every_rate(self, rates, levels, first):
+        # monotone families bisect from the top level; the base reads all
+        assert rates.first_nonfinite(levels) == first
+        if levels <= 10 ** 5:
+            assert RateSequence.first_nonfinite(rates, levels) == first
+
+    def test_list_reads_every_listed_rate(self):
+        with pytest.raises(RateRangeError):
+            ExplicitRates((1.0, 2.0)).first_nonfinite(3)
+
+
+class TestPowerSums:
+    # S_k / k = sum_j (lam/mu_j)^k / k over [start, start + count), in pieces
+    # and an error bound, against 40-digit sums of the exact ratios
+
+    @pytest.mark.parametrize("rates, lam, start, count", [
+        (PolynomialRates(1.0, 1.0), 1.0, 299, 1000),
+        (PolynomialRates(2.5, 1.5), 7.0, 50, 200),
+        (PolynomialRates(0.3, 3.0), 0.01, 1000, 5),
+        (GeometricRates(1.01), 1.0, 0, 500),
+        (GeometricRates(0.99), 1e-3, 10, 300),  # rising ratios
+        (ConstantRates(2.0), 0.5, 7, 1000),
+    ])
+    def test_against_direct_sums(self, rates, lam, start, count):
+        mpmath = pytest.importorskip("mpmath")
+        power_sum = rates.power_sums(lam, start, count)
+        for k in range(1, 6):
+            pieces, bound = power_sum(k)
+            with mpmath.workdps(40):
+                if isinstance(rates, PolynomialRates):
+                    mu = [rates.c * mpmath.mpf(j + 1) ** rates.p for j in range(start, start + count)]
+                elif isinstance(rates, GeometricRates):
+                    mu = [mpmath.mpf(rates.a) ** j for j in range(start, start + count)]
+                else:
+                    mu = [mpmath.mpf(rates.c)] * count
+                exact = float(mpmath.fsum((lam / m) ** k for m in mu) / k)
+            assert bound >= 0.0
+            assert abs(math.fsum(pieces) - exact) <= bound + 1e-14 * exact
 
 
 class TestParser:
