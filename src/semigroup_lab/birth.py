@@ -51,12 +51,14 @@ class ArrivalBracket:
     """Truncated infinite product: the tail of exact factors left after
     n_factors puts it in [value - width, value].  n_factors counts the factors
     the value represents, not those multiplied one by one: past the first
-    2^12 or so, poly, geom and const factors enter as a closed-form log sum.
-    Not covered: the rounding of the value, which is not outward.  It is exp
-    of the factors' log1p sum rounded once, measured within (4 + L) 2^-52
-    relative of their exact product, L = -log(value) (poly:1:3 at lambda = 1:
-    1.3e-16, one ulp, against a width of 1.0e-12), at a floor exit as at a
-    tail-bound one."""
+    2^12, poly, geom and const factors enter as a closed-form log sum.  At a
+    floor exit, width = value: the first partial product <= the floor among
+    factors multiplied one by one, or a whole certified tail product at or
+    below it.  Not covered: the rounding of the value, which is not outward.
+    It is exp of the factors' log1p sum rounded once, measured within
+    (4 + L) 2^-52 relative of their exact product, L = -log(value) (poly:1:3
+    at lambda = 1: 1.3e-16, one ulp, against a width of 1.0e-12), at a floor
+    exit as at a tail-bound one."""
 
     value: float
     width: float
@@ -176,19 +178,19 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
     return band_solve(source, weight, lam + 0.5 * (mu_n + mu_m))
 
 
-def _log1p_sums(rates: RateSequence, lam: float, n_start: int, done: int,
-                count: int, floor: float, hi: float = 0.0,
-                lo: float = 0.0) -> tuple[float, float, Optional[int]]:
-    """The log1p sum of 1/(1 + lambda/mu_j) over factors done..count - 1 from
-    j = n_start, in order and in blocks, carried from (hi, lo): returns the
-    carry and None, or at the first partial product <= floor its sum, 0 and
-    the factors it holds.  The finished blocks' pairwise sums are carried by
-    math.fsum as hi + lo, with hi their correctly rounded total.  The floor is
-    compared with a running sum within the block; the sum it stops at is then
-    formed from hi, lo and that block's logs by math.fsum, so its product may
-    lie an ulp or so above the floor.  A rate that overflows is a factor of 1,
-    a ratio that overflows a factor of 0."""
-    for done in range(done, count, _PRODUCT_BLOCK):
+def _log1p_sums(rates: RateSequence, lam: float, n_start: int, count: int,
+                floor: float) -> tuple[float, float, Optional[int]]:
+    """The log1p sum of 1/(1 + lambda/mu_j) over `count` factors from
+    j = n_start, in order and in blocks: returns it as hi + lo and None, or
+    at the first partial product <= floor its sum, 0 and the factors it
+    holds.  The finished blocks' pairwise sums are carried by math.fsum as
+    hi + lo, with hi their correctly rounded total.  The floor is compared
+    with a running sum within the block; the sum it stops at is then formed
+    from hi, lo and that block's logs by math.fsum, so its product may lie an
+    ulp or so above the floor.  A rate that overflows is a factor of 1, a
+    ratio that overflows a factor of 0."""
+    hi = lo = 0.0
+    for done in range(0, count, _PRODUCT_BLOCK):
         with np.errstate(over="ignore"):
             ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
         logs = np.log1p(ratio)
@@ -204,23 +206,16 @@ def _log1p_sums(rates: RateSequence, lam: float, n_start: int, done: int,
 
 def _head_length(rates: RateSequence, lam: float, n_start: int, count: int) -> int:
     """Factors the log1p loop multiplies before a closed-form tail takes over:
-    all of them for a list or fewer than _HEAD, else at least _HEAD, and for
-    falling ratios lam/mu_j on to the first <= 1/4.  Rising ratios take a tail
-    only if the last is <= 1/4, constant ones whatever they are."""
+    all of them for a list, for a count <= _HEAD, and for rising ratios
+    lam/mu_j whose last is > 1/4; else _HEAD.  Falling ratios whose last is
+    > 1/4 are all > 1/4 in the head, whose log sum then passes
+    _HEAD log1p(1/4) = 914 > 745: its product underflows to 0 and the loop
+    stops at any floor >= 0 within it."""
     if count <= _HEAD or not isinstance(rates, MonotoneRates):
         return count
-
-    def small(k: int) -> bool:  # lam / mu_{n_start + k} <= 1/4
-        with np.errstate(over="ignore"):
-            return 4.0 * lam <= rates.mu(n_start + k)
-
-    if small(count - 1):  # the ratios past the head are monotone
-        if small(_HEAD):  # the common case, with no bisection
-            return _HEAD
-        return bisect.bisect_left(range(count), True, lo=_HEAD + 1, key=small)
-    with np.errstate(over="ignore"):  # equal ends of monotone rates: const or geom:1
-        constant = rates.mu(n_start) == rates.mu(n_start + count - 1)
-    return _HEAD if constant else count
+    with np.errstate(over="ignore"):
+        mu_first, mu_last = rates.mu(n_start), rates.mu(n_start + count - 1)
+    return count if mu_last < mu_first and 4.0 * lam > mu_last else _HEAD
 
 
 def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
@@ -260,26 +255,20 @@ def _arrival_product(rates: RateSequence, lam: float, n_start: int,
     sum of its factors, so it is rounded once, subnormal or not.  The first
     _head_length factors are multiplied by _log1p_sums, exactly as a count
     that fits in them is; the rest is a closed-form tail, added to the head's
-    fsum carry, or multiplied too where none is certified to _TAIL_TOL of the
-    head's sum.  A floor exit in the tail is found by bisecting on its sum,
-    which grows with the count."""
+    fsum carry, certified to _TAIL_TOL of the head's sum.  A whole product
+    at or below the floor is a floor exit at `count`.  Where no tail is
+    certified, _log1p_sums multiplies all `count` factors from n_start."""
     _check_index(n_start, count)
     head = _head_length(rates, lam, n_start, count)
-    hi, lo, stop = _log1p_sums(rates, lam, n_start, 0, head, floor)
+    hi, lo, stop = _log1p_sums(rates, lam, n_start, head, floor)
     if stop is None and head < count:
-        def total(k: int) -> Optional[float]:  # the log sum of head + k factors
-            tail = _tail_terms(rates, lam, n_start + head, k, _TAIL_TOL * hi)
-            return None if tail is None else math.fsum((hi, lo, *tail))
-
-        whole = total(count - head)
-        if whole is None:
-            hi, lo, stop = _log1p_sums(rates, lam, n_start, head, count, floor, hi, lo)
-        elif math.exp(-whole) <= floor:
-            stop = head + 1 + bisect.bisect_left(
-                range(1, count - head), True, key=lambda k: math.exp(-total(k)) <= floor)
-            hi = total(stop - head)
+        tail = _tail_terms(rates, lam, n_start + head, count - head, _TAIL_TOL * hi)
+        if tail is None:
+            hi, lo, stop = _log1p_sums(rates, lam, n_start, count, floor)
         else:
-            hi = whole
+            hi = math.fsum((hi, lo, *tail))
+            if math.exp(-hi) <= floor:
+                stop = count
     return math.exp(-hi), (count if stop is None else stop), stop is not None
 
 
@@ -303,11 +292,13 @@ def arrival_laplace(rates: RateSequence, lam: float, n_start: int = 0,
     It is exactly 0 when sum_j 1/mu_j diverges (conservative case).  Otherwise
     the product runs over the first J factors, J bisected for the tail bound
     lambda * sum_{j >= J} 1/mu_j to certify the bracket to tail_tol, or up to
-    the first partial product <= tail_tol; RuntimeError when neither can
-    happen within _MAX_FACTORS factors.  Of the J factors (poly:1:3 at
-    lambda = 1: 707,107) about 2^12 are multiplied and the rest summed in
-    closed form, as _arrival_product says.  An explicit list is multiplied
-    whole and must leave a provably negligible tail.
+    the first partial product <= tail_tol, or the whole J-factor product
+    where a closed-form tail brings it to tail_tol or below (the floor exits,
+    [0, value]); RuntimeError when none can happen within _MAX_FACTORS
+    factors.  Of the J factors (poly:1:3 at lambda = 1: 707,107) about 2^12
+    are multiplied and the rest summed in closed form, as _arrival_product
+    says.  An explicit list is multiplied whole and must leave a provably
+    negligible tail.
     """
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")

@@ -10,10 +10,14 @@ written with 17 significant digits (%.17g), complex kernel cells as
 '%.17g%+.17gj' without parentheses (KernelGrid.from_csv also reads the
 Python `repr` cells that earlier versions wrote), and JSON floats in
 Python's shortest round-trip form.  Identical configs and seeds produce
-byte-identical files on the same OpenBLAS core; files from matrix products
-may change in their last digits under another one (diffusion's three files
-did under Sandybridge, Prescott and Haswell, and minimal's match_direct
-under Sandybridge).
+byte-identical files: from elementwise routes (birth, trajectory,
+shift-demo) for the same numpy build, from GEMM or LAPACK routes
+(diffusion's three files, minimal's two, nonstandard) on the same OpenBLAS
+core.  On another core the latter agree within stated bounds: under
+Prescott against SkylakeX, the diffusion kernels moved by at most 2.2e-15 of
+their peak and its summary by 2.2e-16 of trace_before, minimal's trace
+trajectory by 2.1e-16 relative and its match_direct 1.11e-17 -> 7.66e-18,
+and nonstandard (N=30) not at all.
 Subcommands raise numpy overflow, invalid and divide errors (exit 3).
 """
 

@@ -77,7 +77,8 @@ PowerSums = Callable[[int], tuple]
 class MonotoneRates(RateSequence):
     """A family with mu_n monotone in n from a finite mu_0, so that ratios
     lam/mu_n are monotone too and only a run of top levels can overflow, and
-    with its power sums of those ratios in closed form."""
+    with the power sums of ratios that vary in closed form (constant ratios,
+    whose log sum is count * log1p(x), have none)."""
 
     def first_nonfinite(self, levels: int) -> Optional[int]:
         def overflows(n: int) -> bool:
@@ -205,10 +206,6 @@ class ConstantRates(MonotoneRates):
     def inverse_tail(self, start: int) -> float:
         _check_index(start)
         return math.inf
-
-    def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
-        x = lam / self.c
-        return lambda k: ([count * x ** k / k], 0.0)
 
 
 @dataclass(frozen=True)

@@ -558,8 +558,8 @@ TAIL_CASES = [
 
 
 class TestArrivalTail:
-    # past a head of 2^12 factors (more while lambda/mu_j > 1/4) the log sum
-    # is summed in closed form; the head is the blocked loop it always was
+    # past a head of 2^12 factors the log sum is summed in closed form; the
+    # head is the blocked loop it always was
 
     @pytest.mark.parametrize("rates, lam, n_start", TAIL_CASES)
     def test_tail_matches_mpmath(self, rates, lam, n_start):
@@ -594,8 +594,6 @@ class TestArrivalTail:
         (PolynomialRates(1.0, 3.0), 1.0, (1, 100, 4095, 4096)),
         (GeometricRates(1.01), 0.5, (4000, 4096)),
         (ConstantRates(2.0), 1e-3, (17, 4096)),
-        # lambda/mu_j > 1/4 up to level 19998: the head runs on to it
-        (LINEAR, 5000.0, (4097, 10 ** 4, 19999)),
         # rising ratios past 1/4 by the last level: the loop runs to the end
         (GeometricRates(0.9999), 0.2, (4097, 5000, 20000)),
         (ExplicitRates(tuple(1.0 + np.arange(5000.0))), 0.5, (4097, 5000)),
@@ -606,22 +604,58 @@ class TestArrivalTail:
             expected = loop_product(rates, lam, 0, count, 0.0)[0]
             assert arrival_partial_product(rates, lam, 0, count) == expected
 
+    def test_falling_ratios_past_a_quarter_stop_in_the_head(self):
+        # lambda/mu_j > 1/4 up to level 19998: the head is still 2^12 factors,
+        # its product underflows within them, and the value is the loop's
+        head = semigroup_lab.birth._HEAD
+        for count in (4097, 10 ** 4, 19999, 10 ** 5, 2 ** 20):
+            assert semigroup_lab.birth._head_length(LINEAR, 5000.0, 0, count) == head
+            expected = loop_product(LINEAR, 5000.0, 0, count, 0.0)[0]
+            assert arrival_partial_product(LINEAR, 5000.0, 0, count) == expected
+
+    @pytest.mark.parametrize("rates, n_start", [
+        (LINEAR, 0), (POLY, 300), (PolynomialRates(0.3, 3.0), 10 ** 4),
+        (GeometricRates(1.001), 0), (GeometricRates(1.01), 300), (GeometricRates(1.1), 0),
+    ])
+    @pytest.mark.parametrize("ratio", [0.2501, 1.0, 1e6])
+    def test_falling_ratios_past_a_quarter_underflow_in_the_head(self, rates, n_start,
+                                                                 ratio):
+        # why the head needs no search: ratios that fall to one above 1/4 at
+        # level n_start + 2^12 have a head log sum above 2^12 log1p(1/4) = 914,
+        # so its product reaches 0, the floor of arrival_partial_product,
+        # within the head
+        head = semigroup_lab.birth._HEAD
+        lam = ratio * rates.mu(n_start + head)
+        assert 0.25 < lam / rates.mu(n_start + head) <= 1e6
+        _, _, stop = semigroup_lab.birth._log1p_sums(rates, lam, n_start, head, 0.0)
+        assert stop is not None and stop < head
+
     def test_floor_exit_past_the_head(self):
-        # poly:1:1.5 from level 10^4 at lambda = 2000 reaches the floor 1e-12
-        # after 94,765 factors, far past the head; the tail sum is bisected
-        rates = PolynomialRates(1.0, 1.5)
+        # poly:1:1.5 from level 10^4 at lambda = 2000 runs J = 10^7 factors;
+        # the whole certified product, 1.5e-17, is below the floor 1e-12, so
+        # the bracket is [0, value] at J.  Checked against the head's double
+        # rates and the tail over the exact ones, to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        rates, head = PolynomialRates(1.0, 1.5), semigroup_lab.birth._HEAD
         bracket = arrival_laplace(rates, 2000.0, n_start=10 ** 4)
-        value, k, floored = loop_product(rates, 2000.0, 10 ** 4, 10 ** 7, 1e-12)
-        assert floored and k > 20 * semigroup_lab.birth._HEAD
-        assert (bracket.n_factors, bracket.width) == (k, bracket.value)
-        assert bracket.value <= 1e-12
-        assert_log_rounding(bracket.value, value)
+        assert bracket.n_factors == 10 ** 7
+        assert bracket.width == bracket.value <= 1e-12
+        with mpmath.workdps(40):
+            log_sum = head_log_sum(rates, 2000.0, 10 ** 4) + exact_tail(
+                mpmath, rates, 2000.0, 10 ** 4 + head, 10 ** 7 - head)
+            expected = float(mpmath.exp(-log_sum))
+        assert_log_rounding(bracket.value, expected)
+        # a tail product equal to the floor is a floor exit too
+        assert semigroup_lab.birth._arrival_product(
+            rates, 2000.0, 10 ** 4, 10 ** 7, bracket.value) == (bracket.value, 10 ** 7, True)
 
     @pytest.mark.parametrize("call, factors", [
         (lambda: arrival_laplace(PolynomialRates(1.0, 3.0), 1.0).n_factors, 707107),
         (lambda: arrival_laplace(PolynomialRates(1.0, 2.0), 1.0, tail_tol=1e-6).n_factors,
          None),
         (lambda: arrival_partial_product(PolynomialRates(1.0, 2.0), 1.0, 0, 2 ** 26), None),
+        # falling ratios above 1/4 to level 19998 underflow within the head
+        (lambda: arrival_partial_product(LINEAR, 5000.0, 0, 2 ** 20), None),
     ])
     def test_reads_about_the_head_of_rates(self, monkeypatch, call, factors):
         reads = []
@@ -637,11 +671,16 @@ class TestArrivalTail:
         assert sum(reads) <= 2 ** 12 + 64
 
     def test_uncertified_tail_is_multiplied(self, monkeypatch):
-        # with no tail certified the loop carries on from the head's sum
+        # with no tail certified every factor is multiplied, as by the loop,
+        # to the same bits and the same floor exit
         monkeypatch.setattr(semigroup_lab.birth, "_MAX_TERMS", 1)
-        rates = PolynomialRates(1.0, 2.0)
-        value = arrival_partial_product(rates, 1.0, 0, 10 ** 5)
-        assert value == loop_product(rates, 1.0, 0, 10 ** 5, 0.0)[0]
+        for rates, lam, n_start, floor in [(POLY, 1.0, 0, 0.0),
+                                           (PolynomialRates(2.5, 1.1), 0.5, 1, 0.0),
+                                           (GeometricRates(0.9999), 1e-6, 0, 1e-12)]:
+            expected = loop_product(rates, lam, n_start, 10 ** 5, floor)
+            assert semigroup_lab.birth._arrival_product(
+                rates, lam, n_start, 10 ** 5, floor) == expected
+        assert expected[1:] == (79249, True)
 
 
 class TestArrivalClosedForms:
