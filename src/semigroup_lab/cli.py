@@ -88,10 +88,11 @@ _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
 # neither its time nor its peak grows with N (N = 2**26, poly:1:3: 30 MB
 # resident peak, 0.24-0.39 s for one lambda on a 2-core host)
 _DIMENSION = ("at least 2 and at most 2**26", lambda v: 2 <= v <= 2 ** 26)
-# at N=107 nonstandard ran in 0.68-1.16 s wall and minimal in 0.73-0.95 s,
-# mostly start-up, with a 70 MB resident peak: nonstandard exponentiates one
-# N x N block (0.024 s) and makes 202 O(N**2) band generator calls; minimal's
-# direct solve on a dense rho covers all 2N-1 blocks, O(N**4) (0.04 s)
+# at N=107 nonstandard ran in 0.53-1.00 s wall and minimal in 0.60-0.91 s,
+# mostly start-up, with a 71 MB resident peak: nonstandard exponentiates one
+# N x N block (0.02-0.04 s) and applies the band generator to its 100 trials
+# (0.05 s); minimal's direct solve on a dense rho covers all 2N-1 blocks,
+# O(N**4) (0.04 s)
 _DENSE_DIMENSION = ("at least 2 and at most 107, for a run of a few seconds",
                     lambda v: 2 <= v <= 107)
 

@@ -41,7 +41,16 @@ class NonFiniteError(ValueError):
 def as_operator(a) -> np.ndarray:
     """Validate and coerce a matrix to a square, finite complex ndarray."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return as_operator_stack(a)
+
+
+def as_operator_stack(a) -> np.ndarray:
+    """Validate and coerce a stack of matrices, shape (..., N, N), to a
+    finite complex ndarray; a single matrix is a stack with no leading axes."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteError("operator entries must be finite")
@@ -84,12 +93,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def rank_one(phi, psi) -> np.ndarray:
-    """|phi><psi| as a matrix: entry (n, m) = phi[n] * conj(psi[m])."""
+    """|phi><psi| as a matrix: entry (n, m) = phi[n] * conj(psi[m]).
+
+    Stacks of vectors, shape (..., N), give the stack (..., N, N) of their
+    rank-one matrices, each with np.outer's products."""
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    if phi.ndim != 1 or psi.ndim != 1 or phi.shape != psi.shape:
+    if phi.ndim < 1 or phi.shape != psi.shape:
         raise ValueError("rank_one requires two vectors of equal length")
-    return np.outer(phi, psi.conj())
+    return phi[..., :, None] * psi.conj()[..., None, :]
 
 
 def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:

@@ -35,6 +35,21 @@ def random_vector(dim, rng, interior=False, normalize=True):
     return v
 
 
+def signed_zero_stack(dim, rng):
+    """A (4, dim, dim) stack: a random operator, an interior one, an interior
+    rank-one one, and one whose parts are zeros of both signs in about a
+    third of the cells each."""
+    signed = random_operator(dim, rng)
+    for part in (signed.real, signed.imag):
+        draw = rng.random((dim, dim))
+        part[draw < 1 / 3] = -0.0
+        part[draw > 2 / 3] = 0.0
+    phi = random_vector(dim, rng, interior=True)
+    psi = random_vector(dim, rng, interior=True)
+    return np.stack([random_operator(dim, rng), random_operator(dim, rng, interior=True),
+                     np.outer(phi, psi.conj()), signed])
+
+
 def bits(a):
     """The real and imaginary parts' bit patterns, so -0.0 differs from 0.0."""
     return np.stack([a.real, a.imag]).view(np.int64)

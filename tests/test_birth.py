@@ -26,6 +26,7 @@ from semigroup_lab import (
     no_event_resolvent,
     resolvent_direct,
 )
+from semigroup_lab.operators import NonFiniteError
 from semigroup_lab.rates import (
     ConstantRates,
     ExplicitRates,
@@ -35,7 +36,7 @@ from semigroup_lab.rates import (
     parse_rate_spec,
 )
 
-from conftest import bits, random_operator, random_psd
+from conftest import bits, random_operator, random_psd, signed_zero_stack
 
 POLY = PolynomialRates(1.0, 2.0)
 LINEAR = PolynomialRates(1.0, 1.0)
@@ -189,6 +190,46 @@ class TestBirthBandGenerator:
             BirthBandGenerator(POLY, 1)
         with pytest.raises(ValueError, match="does not match"):
             BirthBandGenerator(POLY, 4)(np.eye(3))
+
+    @staticmethod
+    def matrix_action(rates, dim, rho):
+        """The band action as it was for 2-D operators alone."""
+        mu = rates.mu_array(0, dim)
+        half, s = -0.5 * mu, np.sqrt(mu[:-1])
+        out = half[:, None] * rho + rho * half[None, :]
+        out[1:, 1:] += (s[:, None] * rho[:-1, :-1]) * s[None, :]
+        return out
+
+    @pytest.mark.parametrize("spec", RATES)
+    @pytest.mark.parametrize("dim", [2, 30, 107])
+    def test_stack_is_its_slices_byte_for_byte(self, spec, dim):
+        rates = parse_rate_spec(spec)
+        band = BirthBandGenerator(rates, dim)
+        stack = signed_zero_stack(dim, np.random.default_rng(dim))
+        out = band(stack)
+        assert out.shape == stack.shape
+        for rho, slice_out in zip(stack, out):
+            assert slice_out.tobytes() == band(rho).tobytes() == \
+                self.matrix_action(rates, dim, rho).tobytes()
+        deeper = stack.reshape(2, 2, dim, dim)
+        assert band(deeper).tobytes() == out.tobytes()
+        assert band(stack[:0]).shape == (0, dim, dim)
+
+    def test_stack_validation(self):
+        band = BirthBandGenerator(POLY, 5)
+        stack = signed_zero_stack(5, np.random.default_rng(0))
+        for k in range(len(stack)):
+            for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+                broken = stack.copy()
+                broken[k, 2, 3] = bad
+                with pytest.raises(NonFiniteError):
+                    band(broken)
+        with pytest.raises(ValueError, match="square"):
+            band(np.zeros((4, 5, 4)))
+        with pytest.raises(ValueError, match="square"):
+            band(np.zeros(5))
+        with pytest.raises(ValueError, match="does not match"):
+            band(np.zeros((4, 6, 6)))
 
 
 class TestClassicalBirth:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semigroup_lab import (
+    BirthBandGenerator,
     FalsifierReport,
     TraceResetGenerator,
     band_domain_element,
@@ -20,9 +23,12 @@ from semigroup_lab import (
     trace_norm,
 )
 from semigroup_lab.generators import apply_jump
-from semigroup_lab.rates import GeometricRates, PolynomialRates
+from semigroup_lab.nonstandard import _trial_vectors
+from semigroup_lab.operators import NonFiniteError
+from semigroup_lab.rates import ConstantRates, ExplicitRates, GeometricRates, \
+    PolynomialRates, parse_rate_spec
 
-from conftest import random_operator, random_psd, random_vector
+from conftest import random_operator, random_psd, random_vector, signed_zero_stack
 
 POLY = PolynomialRates(1.0, 2.0)
 GEO = GeometricRates(2.0)
@@ -85,6 +91,45 @@ class TestTraceResetGenerator:
         gen = TraceResetGenerator(base=birth_generator(POLY, dim), reset_state=state)
         rho = random_operator(dim, rng)
         assert abs(np.trace(gen(rho))) <= 1e-12 * max(1.0, np.abs(rho).max())
+
+
+class TestStackedResetGenerator:
+    """g_hat on a (k, N, N) stack with the band generator as its base: each
+    slice is its own 2-D call byte for byte, and a 2-D call is
+    base(rho) - trace(base(rho)) * rho_hat as it always was."""
+
+    RATES = ["poly:1:2", "geom:2", "const:1",
+             "list:" + ",".join(str(0.5 + 0.75 * k) for k in range(107))]
+
+    @pytest.mark.parametrize("spec", RATES)
+    @pytest.mark.parametrize("dim", [2, 30, 107])
+    def test_stack_is_its_slices_byte_for_byte(self, spec, dim):
+        rng = np.random.default_rng(dim)
+        base = BirthBandGenerator(parse_rate_spec(spec), dim)
+        for state in (matrix_unit(0, 0, dim), random_psd(dim, rng)):
+            gen = TraceResetGenerator(base=base, reset_state=state)
+            stack = signed_zero_stack(dim, rng)
+            out = gen(stack)
+            assert out.shape == stack.shape
+            for rho, slice_out in zip(stack, out):
+                matrix_out = base(rho)
+                expected = matrix_out - np.trace(matrix_out) * gen.reset_state
+                assert slice_out.tobytes() == gen(rho).tobytes() == expected.tobytes()
+            assert gen(stack.reshape(2, 2, dim, dim)).tobytes() == out.tobytes()
+
+    def test_stack_validation(self):
+        gen = TraceResetGenerator(base=BirthBandGenerator(POLY, 5),
+                                  reset_state=matrix_unit(0, 0, 5))
+        stack = signed_zero_stack(5, np.random.default_rng(0))
+        for k in range(len(stack)):
+            broken = stack.copy()
+            broken[k, 4, 0] = complex(0.0, np.nan)
+            with pytest.raises(NonFiniteError):
+                gen(broken)
+        with pytest.raises(ValueError, match="square"):
+            gen(np.zeros((3, 5, 4)))
+        with pytest.raises(ValueError, match="does not match"):
+            gen(np.zeros((3, 4, 4)))
 
 
 class TestConservativity:
@@ -158,17 +203,24 @@ class TestContractionReport:
 
 class TestFalsifier:
     @staticmethod
-    def dense_report(rates, dim, lam, t, seed):
-        """falsifier_report with the dense StandardGeneratorSpec as g."""
-        spec = birth_generator(rates, dim)
-        gen_hat = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, dim))
+    def loop_trials(dim, seed):
+        """The 100 trials' (phi, psi) drawn and normalized one trial at a time."""
         rng = np.random.default_rng(seed)
-        interior_dev = 0.0
         for _ in range(100):
             phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             phi[-1] = psi[-1] = 0.0
-            rho = rank_one(phi / np.linalg.norm(phi), psi / np.linalg.norm(psi))
+            yield phi / np.linalg.norm(phi), psi / np.linalg.norm(psi)
+
+    @classmethod
+    def dense_report(cls, rates, dim, lam, t, seed):
+        """falsifier_report with the dense StandardGeneratorSpec as g and a
+        loop of one generator call per trial."""
+        spec = birth_generator(rates, dim)
+        gen_hat = TraceResetGenerator(base=spec, reset_state=matrix_unit(0, 0, dim))
+        interior_dev = 0.0
+        for phi, psi in cls.loop_trials(dim, seed):
+            rho = rank_one(phi, psi)
             interior_dev = max(interior_dev, float(np.abs(gen_hat(rho) - spec(rho)).max()))
         sigma = band_domain_element(rates, 0, dim)
         state = gen_hat.reset_state
@@ -178,12 +230,40 @@ class TestFalsifier:
             base_defect=conservativity_defect(rates, lam, state),
             reset_residual=conservativity_residual(gen_hat, state, t))
 
-    @pytest.mark.parametrize("rates, dim", [(POLY, 30), (POLY, 107), (GEO, 30),
-                                            (GeometricRates(1.01), 107)])
+    @pytest.mark.parametrize("rates, dim", [
+        (POLY, 2), (POLY, 30), (POLY, 107), (GEO, 30), (GeometricRates(1.01), 107),
+        (ConstantRates(1.0), 30), (ExplicitRates((0.5, 2.0, 3.25)), 3)])
     def test_band_route_equals_the_dense_route(self, rates, dim):
-        for seed in (3, 11):
+        for seed in (0, 3, 11, 106):
             assert falsifier_report(rates, dim, lam=1.0, t=1.0, seed=seed) == \
                 self.dense_report(rates, dim, 1.0, 1.0, seed)
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 30, 107])
+    def test_trial_vectors_are_the_loops_byte_for_byte(self, dim):
+        for seed in (0, 106):
+            vectors = _trial_vectors(dim, seed)
+            assert vectors.shape == (100, 2, dim)
+            for pair, (phi, psi) in zip(vectors, self.loop_trials(dim, seed)):
+                assert pair.tobytes() == np.stack([phi, psi]).tobytes()
+
+    def test_trials_are_applied_in_small_stacks(self):
+        """The trials run through the generators in stacks of at most 2**13
+        cells.  The traced peak of the whole report measured 4.3 MB (5.2 MB
+        with stacks of 2**16 cells); the bound leaves almost 2x that.  One
+        stack of all 100 trials at N=107 holds 18.3 MB per temporary, and
+        the report's peak was then over 70 MB.  A first call imports scipy's
+        sparse and linalg modules, which the trace would count too."""
+        falsifier_report(POLY, 107, lam=1.0, t=1.0, seed=1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = falsifier_report(POLY, 107, lam=1.0, t=1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.consistent()
+        assert peak <= 8 * 10 ** 6
 
     def test_report_consistent_polynomial(self):
         report = falsifier_report(POLY, 30, lam=1.0, t=1.0, seed=5)
