@@ -50,15 +50,15 @@ _MAX_TERMS = 64
 class ArrivalBracket:
     """Truncated infinite product: the tail of exact factors left after
     n_factors puts it in [value - width, value].  n_factors counts the factors
-    the value represents, not those multiplied one by one: past the first
+    the value represents, not those multiplied one by one: beside a head of
     2^12, poly, geom and const factors enter as a closed-form log sum.  At a
     floor exit, width = value: the first partial product <= the floor among
-    factors multiplied one by one, or a whole certified tail product at or
-    below it.  Not covered: the rounding of the value, which is not outward.
-    It is exp of the factors' log1p sum rounded once, measured within
-    (4 + L) 2^-52 relative of their exact product, L = -log(value) (poly:1:3
-    at lambda = 1: 1.3e-16, one ulp, against a width of 1.0e-12), at a floor
-    exit as at a tail-bound one."""
+    factors multiplied one by one, or a whole product at or below it.  Not
+    covered: the rounding of the value, which is not outward.  It is exp of
+    the factors' log1p sum rounded once, measured within (4 + L) 2^-52
+    relative of their exact product, L = -log(value) (poly:1:3 at lambda = 1:
+    1.3e-16, one ulp, against a width of 1.0e-12), at a floor exit as at a
+    tail-bound one."""
 
     value: float
     width: float
@@ -133,10 +133,8 @@ class BirthBandGenerator:
         if rho.shape[-1] != self.dim:
             raise ValueError(f"operator dim {rho.shape[-1]} does not match dim {self.dim}")
         half, s = self._half, self._sqrt
-        # half*rho + rho*half and (s*rho)*s, the same products and sums, with
-        # each result stored into its left operand: three arrays of rho's
-        # size are made instead of five (falsifier_report's trials at
-        # dim = 107 went from a median of 91 ms to 54 ms)
+        # half*rho + rho*half and (s*rho)*s, each result stored into its left
+        # operand: three arrays of rho's size are made, not five
         out = half[:, None] * rho
         out += rho * half[None, :]
         jump = s[:, None] * rho[..., :-1, :-1]
@@ -213,20 +211,6 @@ def _log1p_sums(rates: RateSequence, lam: float, n_start: int, count: int,
     return hi, lo, None
 
 
-def _head_length(rates: RateSequence, lam: float, n_start: int, count: int) -> int:
-    """Factors the log1p loop multiplies before a closed-form tail takes over:
-    all of them for a list, for a count <= _HEAD, and for rising ratios
-    lam/mu_j whose last is > 1/4; else _HEAD.  Falling ratios whose last is
-    > 1/4 are all > 1/4 in the head, whose log sum then passes
-    _HEAD log1p(1/4) = 914 > 745: its product underflows to 0 and the loop
-    stops at any floor >= 0 within it."""
-    if count <= _HEAD or not isinstance(rates, MonotoneRates):
-        return count
-    with np.errstate(over="ignore"):
-        mu_first, mu_last = rates.mu(n_start), rates.mu(n_start + count - 1)
-    return count if mu_last < mu_first and 4.0 * lam > mu_last else _HEAD
-
-
 def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
                 tol: float) -> Optional[list]:
     """Terms that sum to sum_{j=start}^{start+count-1} log1p(lam/mu_j) in closed
@@ -235,9 +219,10 @@ def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
     Constant ratios give count * log1p(x).  Otherwise the alternating series
     sum_k (-1)^(k+1) S_k / k, S_k = sum_j (lam/mu_j)^k from rates.power_sums,
     is cut after K terms: its rest is at most x^K S_1 / (K+1), x the largest
-    ratio (<= 1/4, so the terms fall by 4 each).  K grows until the cut and
-    every power sum's error bound so far are <= tol; these bounds grow with
-    count, so a shorter tail from the same start is certified if this one is."""
+    ratio, <= 1/4 beside the head of _arrival_product, so the terms fall by 4
+    each.  K grows until the cut and every power sum's error bound so far are
+    <= tol; these bounds grow with count, so a shorter tail from the same
+    start is certified if this one is."""
     with np.errstate(over="ignore"):
         x, x_end = lam / rates.mu(start), lam / rates.mu(start + count - 1)
     if x == x_end:  # constant ratios: const, geom:1, or a tail of one factor
@@ -261,17 +246,29 @@ def _arrival_product(rates: RateSequence, lam: float, n_start: int,
     """(product, factors represented, whether it stopped at the floor) of
     1/(1 + lambda/mu_j) from j = n_start, to `count` factors or the first
     partial product <= floor.  Each partial product is exp(-s), s the log1p
-    sum of its factors, so it is rounded once, subnormal or not.  The first
-    _head_length factors are multiplied by _log1p_sums, exactly as a count
-    that fits in them is; the rest is a closed-form tail, added to the head's
-    fsum carry, certified to _TAIL_TOL of the head's sum.  A whole product
-    at or below the floor is a floor exit at `count`.  Where no tail is
+    sum of its factors, so it is rounded once, subnormal or not.
+
+    _log1p_sums multiplies a list, or a count <= _HEAD, whole; else a head of
+    _HEAD factors where the ratios lambda/mu_j are largest, the first or, for
+    falling rates, the last.  The rest is a closed-form tail, added to the
+    head's fsum carry, certified to _TAIL_TOL of the head's sum.  It sees no
+    ratio above 1/4: were the head's ratio nearest it above 1/4, all of the
+    head's would be, their log sum would pass _HEAD log1p(1/4) = 914 > 745
+    and the head's product would reach 0, a floor exit.  A floor exit in a
+    closing head, whose partial product bounds the whole one, or a whole
+    product at or below the floor, is one at `count`.  Where no tail is
     certified, _log1p_sums multiplies all `count` factors from n_start."""
     _check_index(n_start, count)
-    head = _head_length(rates, lam, n_start, count)
-    hi, lo, stop = _log1p_sums(rates, lam, n_start, head, floor)
-    if stop is None and head < count:
-        tail = _tail_terms(rates, lam, n_start + head, count - head, _TAIL_TOL * hi)
+    rest = count - _HEAD if count > _HEAD and isinstance(rates, MonotoneRates) else 0
+    head_start, rest_start = n_start, n_start + _HEAD
+    with np.errstate(over="ignore"):
+        if rest and rates.mu(n_start + count - 1) < rates.mu(n_start):
+            head_start, rest_start = n_start + rest, n_start
+    hi, lo, stop = _log1p_sums(rates, lam, head_start, count - rest, floor)
+    if stop is not None and head_start > n_start:
+        stop = count
+    if stop is None and rest:
+        tail = _tail_terms(rates, lam, rest_start, rest, _TAIL_TOL * hi)
         if tail is None:
             hi, lo, stop = _log1p_sums(rates, lam, n_start, count, floor)
         else:
@@ -286,8 +283,9 @@ def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,
     """Product of 1/(1 + lambda/mu_j) over exactly `count` factors from j = n_start:
     the Laplace transform of the time to climb through these levels, so with
     count = N - n_start the defect of the chain truncated at N from level n_start.
-    Past its head of about 2^12 factors a poly, geom or const product costs
-    O(1) in count, by the closed-form tail of _arrival_product."""
+    A poly, geom or const product, rising or falling, multiplies about 2^12
+    factors, at its largest ratios, and costs O(1) in count beyond them, by
+    the closed-form tail of _arrival_product."""
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     return _arrival_product(rates, lam, n_start, count, 0.0)[0]  # 0 stays 0

@@ -84,9 +84,10 @@ _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
-# birth reads the top rate and about 2**12 per arrival product, so
-# neither its time nor its peak grows with N (N = 2**26, poly:1:3: 30 MB
-# resident peak, 0.24-0.39 s for one lambda on a 2-core host)
+# birth reads the top rate and about 2**12 per arrival product, the last
+# ones for falling rates, so neither its time nor its peak grows with N
+# (N = 2**26: 30 MB resident peak and 0.19-0.35 s for one lambda on
+# poly:1:3, 0.20-0.25 s on geom:0.99999 at lambda = 1e-295, on a 2-core host)
 _DIMENSION = ("at least 2 and at most 2**26", lambda v: 2 <= v <= 2 ** 26)
 # at N=107 nonstandard ran in 0.53-1.00 s wall and minimal in 0.60-0.91 s,
 # mostly start-up, with a 71 MB resident peak: nonstandard exponentiates one

@@ -138,10 +138,9 @@ def falsifier_report(rates: RateSequence, dim: int, lam: float = 1.0,
     g is the birth generator in band form, O(dim^2) per operator.  The trials
     are drawn at once and go through g and g_hat in stacks of at most 2**13
     cells: 9 trials a call at dim = 30, one at dim = 107.  On a 2-core host
-    (i) took a median of 5.6 ms at dim = 30 and 52 ms at dim = 107, against
-    13.6 ms and 113 ms with one trial per call and the draws made trial by
-    trial, and medians of 0.21-0.37 s at dim = 107 with dense
-    StandardGeneratorSpec calls.  (iii)'s reset residual exponentiates the
+    (i) took a median of 5.6 ms at dim = 30 and 52 ms at dim = 107; the dense
+    StandardGeneratorSpec calls the tests compare it with took medians of
+    0.21-0.37 s at dim = 107.  (iii)'s reset residual exponentiates the
     one dim x dim block of the superoperator matrix that |0><0| occupies
     (0.02-0.04 s at dim = 107).
     """

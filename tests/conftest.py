@@ -1,3 +1,10 @@
+import os
+
+# the dense oracles' BLAS on one thread: on a 2-core host, two threads slowed
+# them about 10x while another process was busy; the variable is read when
+# numpy loads, and the CLI tests' subprocesses inherit it
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings

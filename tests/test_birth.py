@@ -544,13 +544,51 @@ def loop_product(rates, lam, n_start, count, floor):
 
 
 @functools.lru_cache(maxsize=None)
-def head_log_sum(rates, lam, n_start):
-    """The log sum over the head's double rates, to 40 digits."""
+def head_log_sum(rates, lam, start):
+    """The log sum over the double rates of a head from level start, to 40
+    digits."""
     import mpmath
 
     with mpmath.workdps(40), np.errstate(over="ignore"):
-        mu = rates.mu_array(n_start, semigroup_lab.birth._HEAD).tolist()
+        mu = rates.mu_array(start, semigroup_lab.birth._HEAD).tolist()
         return mpmath.fsum(mpmath.log1p(mpmath.mpf(lam) / mpmath.mpf(m)) for m in mu)
+
+
+def head_start(rates, n_start, count):
+    """Where the head of 2^12 factors starts: at the largest ratios, so at
+    the end of the product for falling rates."""
+    if isinstance(rates, GeometricRates) and rates.a < 1:
+        return n_start + count - semigroup_lab.birth._HEAD
+    return n_start
+
+
+def split_log_sum(mpmath, rates, lam, n_start, count):
+    """The log sum of a product past its head, to 40 digits: the head over
+    its double rates and the rest over the exact ones."""
+    head, start = semigroup_lab.birth._HEAD, head_start(rates, n_start, count)
+    rest = n_start if start > n_start else n_start + head
+    return head_log_sum(rates, lam, start) + exact_tail(mpmath, rates, lam, rest,
+                                                        count - head)
+
+
+def counted_reads(monkeypatch, *families):
+    """The (start, count) of every mu_array read of these rate classes."""
+    reads = []
+    for family in families:
+        def counted(self, start, count, mu_array=family.mu_array):
+            reads.append((start, count))
+            return mu_array(self, start, count)
+
+        monkeypatch.setattr(family, "mu_array", counted)
+    return reads
+
+
+def assert_reads_the_head(reads, start):
+    """The reads of one product: its head of 2^12 rates from start, and
+    at most 64 more."""
+    head = semigroup_lab.birth._HEAD
+    assert (start, head) in reads
+    assert sum(count for _, count in reads) <= head + 64
 
 
 def series_log_sum(mpmath, term):
@@ -593,29 +631,56 @@ TAIL_CASES = [
     (GeometricRates(1.001), 0.01, 0), (GeometricRates(1.001), 0.1, 3000),
     (GeometricRates(1.01), 1.0, 0), (GeometricRates(1.01), 5.0, 1000),
     (GeometricRates(2.0), 0.5, 0), (GeometricRates(2.0), 100.0, 5),
-    (GeometricRates(1 - 1e-8), 1e-6, 0),  # rising ratios, below 1/4 to level 2^26
+    (GeometricRates(1 - 1e-8), 1e-6, 0),  # falling rates, ratios below 1/4 to level 2^26
     (ConstantRates(1.0), 1e-6, 0), (ConstantRates(0.5), 2e-6, 7),
 ]
 
 
 class TestArrivalTail:
-    # past a head of 2^12 factors the log sum is summed in closed form; the
-    # head is the blocked loop it always was
+    # beside a head of 2^12 factors, the blocked loop at the largest ratios,
+    # the log sum is summed in closed form
 
     @pytest.mark.parametrize("rates, lam, n_start", TAIL_CASES)
-    def test_tail_matches_mpmath(self, rates, lam, n_start):
+    def test_tail_matches_mpmath(self, monkeypatch, rates, lam, n_start):
         # the head's logs over its double rates and the tail over the exact
         # ones, to 40 digits, against the route within (4 + L) 2^-52
         mpmath = pytest.importorskip("mpmath")
-        head = semigroup_lab.birth._HEAD
-        for count in TAIL_COUNTS:
-            assert semigroup_lab.birth._head_length(rates, lam, n_start, count) == head
-            with mpmath.workdps(40):
-                log_sum = head_log_sum(rates, lam, n_start) + exact_tail(
-                    mpmath, rates, lam, n_start + head, count - head)
-                expected = float(mpmath.exp(-log_sum))
-            assert expected > 0.0
-            assert_log_rounding(arrival_partial_product(rates, lam, n_start, count), expected)
+        with mpmath.workdps(40):
+            expected = [float(mpmath.exp(-split_log_sum(mpmath, rates, lam, n_start, count)))
+                        for count in TAIL_COUNTS]
+        reads = counted_reads(monkeypatch, type(rates))
+        for count, value in zip(TAIL_COUNTS, expected):
+            reads.clear()
+            assert value > 0.0
+            assert_log_rounding(arrival_partial_product(rates, lam, n_start, count), value)
+            assert_reads_the_head(reads, head_start(rates, n_start, count))
+
+    @pytest.mark.parametrize("a, n_start", [(0.9, 0), (0.999, 0), (0.99999, 0),
+                                            (1 - 1e-8, 0), (0.999, 1000)])
+    def test_falling_rates_match_mpmath(self, monkeypatch, a, n_start):
+        # the head holds the last 2^12 factors; against its logs over the
+        # double rates and the rest over the exact ones, to 40 digits, for
+        # lambda up to 1/4 of the last rate, where a long enough head
+        # underflows to 0 with its reference
+        mpmath = pytest.importorskip("mpmath")
+        rates = GeometricRates(a)
+        cases = [(count, ratio * rates.mu(n_start + count - 1))
+                 for count in (2 ** 12 + 1, 10 ** 5, 2 ** 20, 2 ** 26)
+                 if rates.mu(n_start + count - 1) > 1e-300
+                 for ratio in (1e-6, 0.01, 0.25)]
+        with mpmath.workdps(40):
+            expected = [float(mpmath.exp(-split_log_sum(mpmath, rates, lam, n_start, count)))
+                        for count, lam in cases]
+        reads = counted_reads(monkeypatch, GeometricRates)
+        for (count, lam), value in zip(cases, expected):
+            reads.clear()
+            product = arrival_partial_product(rates, lam, n_start, count)
+            if value == 0.0:
+                assert product == 0.0
+            else:
+                assert_log_rounding(product, value)
+            assert_reads_the_head(reads, n_start + count - semigroup_lab.birth._HEAD)
+        assert sum(value > 0.0 for value in expected) >= 3
 
     @pytest.mark.parametrize("p", [1.0, 1.1, 2.0, 2.5, 3.0])
     def test_tail_from_a_low_level(self, p):
@@ -635,24 +700,29 @@ class TestArrivalTail:
         (PolynomialRates(1.0, 3.0), 1.0, (1, 100, 4095, 4096)),
         (GeometricRates(1.01), 0.5, (4000, 4096)),
         (ConstantRates(2.0), 1e-3, (17, 4096)),
-        # rising ratios past 1/4 by the last level: the loop runs to the end
-        (GeometricRates(0.9999), 0.2, (4097, 5000, 20000)),
+        # falling rates, ratios past 1/4 by the last level
+        (GeometricRates(0.9999), 0.2, (100, 4000, 4096)),
         (ExplicitRates(tuple(1.0 + np.arange(5000.0))), 0.5, (4097, 5000)),
     ])
-    def test_head_is_the_loop_bit_for_bit(self, rates, lam, counts):
-        for count in counts:
-            assert semigroup_lab.birth._head_length(rates, lam, 0, count) == count
-            expected = loop_product(rates, lam, 0, count, 0.0)[0]
-            assert arrival_partial_product(rates, lam, 0, count) == expected
+    def test_head_is_the_loop_bit_for_bit(self, monkeypatch, rates, lam, counts):
+        # a list, or a count of at most 2^12, is the head: the loop, read once
+        expected = [loop_product(rates, lam, 0, count, 0.0)[0] for count in counts]
+        reads = counted_reads(monkeypatch, type(rates))
+        for count, value in zip(counts, expected):
+            reads.clear()
+            assert arrival_partial_product(rates, lam, 0, count) == value
+            assert sum(n for _, n in reads) == count
 
-    def test_falling_ratios_past_a_quarter_stop_in_the_head(self):
-        # lambda/mu_j > 1/4 up to level 19998: the head is still 2^12 factors,
-        # its product underflows within them, and the value is the loop's
-        head = semigroup_lab.birth._HEAD
-        for count in (4097, 10 ** 4, 19999, 10 ** 5, 2 ** 20):
-            assert semigroup_lab.birth._head_length(LINEAR, 5000.0, 0, count) == head
-            expected = loop_product(LINEAR, 5000.0, 0, count, 0.0)[0]
-            assert arrival_partial_product(LINEAR, 5000.0, 0, count) == expected
+    def test_falling_ratios_past_a_quarter_stop_in_the_head(self, monkeypatch):
+        # lambda/mu_j > 1/4 up to level 19998: the product underflows within
+        # the head of 2^12 factors, and the value is the loop's
+        counts = (4097, 10 ** 4, 19999, 10 ** 5, 2 ** 20)
+        expected = [loop_product(LINEAR, 5000.0, 0, count, 0.0)[0] for count in counts]
+        reads = counted_reads(monkeypatch, PolynomialRates)
+        for count, value in zip(counts, expected):
+            reads.clear()
+            assert arrival_partial_product(LINEAR, 5000.0, 0, count) == value
+            assert_reads_the_head(reads, 0)
 
     @pytest.mark.parametrize("rates, n_start", [
         (LINEAR, 0), (POLY, 300), (PolynomialRates(0.3, 3.0), 10 ** 4),
@@ -697,31 +767,31 @@ class TestArrivalTail:
         (lambda: arrival_partial_product(PolynomialRates(1.0, 2.0), 1.0, 0, 2 ** 26), None),
         # falling ratios above 1/4 to level 19998 underflow within the head
         (lambda: arrival_partial_product(LINEAR, 5000.0, 0, 2 ** 20), None),
+        # falling rates: the head holds the last 2^12, with ratios up to 3e-4
+        # (the CI's birth run), 0.2 (a tail beside it) or 0.3 (it underflows)
+        *((lambda lam=lam: arrival_partial_product(GeometricRates(0.99999), lam, 0, 2 ** 26),
+           None) for lam in (1e-295, 0.2 * 0.99999 ** (2 ** 26 - 1),
+                             0.3 * 0.99999 ** (2 ** 26 - 1))),
     ])
     def test_reads_about_the_head_of_rates(self, monkeypatch, call, factors):
-        reads = []
-        mu_array = PolynomialRates.mu_array
-
-        def counted(self, start, count):
-            reads.append(count)
-            return mu_array(self, start, count)
-
-        monkeypatch.setattr(PolynomialRates, "mu_array", counted)
+        reads = counted_reads(monkeypatch, PolynomialRates, GeometricRates)
         result = call()
         assert factors is None or result == factors
-        assert sum(reads) <= 2 ** 12 + 64
+        assert sum(count for _, count in reads) <= 2 ** 12 + 64
 
     def test_uncertified_tail_is_multiplied(self, monkeypatch):
         # with no tail certified every factor is multiplied, as by the loop,
-        # to the same bits and the same floor exit
+        # to the same bits
         monkeypatch.setattr(semigroup_lab.birth, "_MAX_TERMS", 1)
-        for rates, lam, n_start, floor in [(POLY, 1.0, 0, 0.0),
-                                           (PolynomialRates(2.5, 1.1), 0.5, 1, 0.0),
-                                           (GeometricRates(0.9999), 1e-6, 0, 1e-12)]:
-            expected = loop_product(rates, lam, n_start, 10 ** 5, floor)
+        for rates, lam, n_start in [(POLY, 1.0, 0), (PolynomialRates(2.5, 1.1), 0.5, 1)]:
+            expected = loop_product(rates, lam, n_start, 10 ** 5, 0.0)
             assert semigroup_lab.birth._arrival_product(
-                rates, lam, n_start, 10 ** 5, floor) == expected
-        assert expected[1:] == (79249, True)
+                rates, lam, n_start, 10 ** 5, 0.0) == expected
+        # falling rates: the last 2^12 factors, with ratios from 0.015 to 0.022,
+        # take the product below the floor before any tail, an exit at count
+        value, n_factors, floored = semigroup_lab.birth._arrival_product(
+            GeometricRates(0.9999), 1e-6, 0, 10 ** 5, 1e-12)
+        assert value <= 1e-12 and (n_factors, floored) == (10 ** 5, True)
 
 
 class TestArrivalClosedForms:

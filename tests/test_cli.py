@@ -737,6 +737,19 @@ class TestNonFiniteOutput:
         assert_clean_exit(capsys, code, 3, "numerical failure: divide by zero")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("rates, dim", [("geom:0.99", 10 ** 5), ("geom:0.999", 8 * 10 ** 5)])
+    @pytest.mark.parametrize("lam", [1.0, 1e-300])
+    def test_rates_underflowing_below_n_exit_3_at_any_lambda(self, tmp_path, capsys,
+                                                             rates, dim, lam):
+        # mu_n = 0.99**n is 0 from n = 74141 and 0.999**n from n = 744761; the
+        # defect's head holds the last 2^12 rates, so lambda / mu_{N-1} divides
+        # by zero, whether or not the product has underflowed before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "birth", {"rates": rates, "lambda": lam, "N": dim})
+        assert_clean_exit(capsys, code, 3, "numerical failure: divide by zero")
+        assert not any(out.iterdir())
+
     def test_largest_finite_rates_run(self, tmp_path):
         # every rate up to mu_1023 = 2**1023 is finite and the defect is a
         # product of factors 1 / (1 + lambda / mu_j): no mu_j + mu_j is formed
