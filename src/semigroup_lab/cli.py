@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, g17
 from .birth import arrival_laplace, arrival_partial_product, birth_generator, \
     no_event_resolvent
 from .diffusion import KernelGrid, QuadratureError, _grid_intervals, \
@@ -200,15 +200,14 @@ class _Writer:
             raise ConfigError(f"cannot write output: {exc}") from None
 
     def csv(self, name: str, columns, rows) -> Path:
-        """One %.17g template per row; a non-finite cell raises before writing."""
-        if not np.isfinite(np.asarray(rows, dtype=float)).all():
+        """Every cell %.17g, through g17 (an int cell prints as its float
+        does); a non-finite cell raises before writing."""
+        values = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
+        if not np.isfinite(values).all():
             raise NonFiniteError(f"refusing to write non-finite values to {name}")
-        fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-        lines = [fmt % tuple(row) for row in rows]
-        with self._target(name) as path, open(path, "w", newline="") as fh:
-            fh.write(self.header + "\n")
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(lines)
+        with self._target(name) as path, open(path, "wb") as fh:
+            fh.write(f"{self.header}\n{','.join(columns)}\n".encode())
+            fh.writelines(g17.csv_blocks(values))
         return path
 
     def json(self, name: str, payload: dict) -> Path:
@@ -333,7 +332,11 @@ def _spec_numbers(spec_text: str, fields) -> list:
 # holds 11 float64 arrays (kernel 2, evolved 2, profile 1, first product 2,
 # band array 2, its product 2): the hermitian (1 + 0.5j x) bump(x) kernel
 # peaks at 1.86 GB resident and a 2047.5 MiB address space at 4527 points
-# (2048.5 MiB at 4528).  shift-demo takes about 340 bytes per point
+# (2048.5 MiB at 4528).  The kernel writer runs after the quadrature, with
+# the three grids live: its traced working set is 72 MB at 4729 points for
+# bump, mostly the text of the mirrored tiles it keeps (about a quarter of
+# the cells), and 21 MB for the complex kernel at 4527, whose symmetry check
+# holds one bool per cell.  shift-demo takes about 340 bytes per point
 _DIFFUSION_POINTS = 4729
 _COMPLEX_DIFFUSION_POINTS = 4527
 _SHIFT_POINTS = 2 ** 22
