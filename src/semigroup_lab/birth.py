@@ -35,8 +35,6 @@ from .operators import as_operator, as_operator_stack
 from .rates import ExplicitRates, GeometricRates, MonotoneRates, RateRangeError, \
     RateSequence, _check_index
 
-# factors per block of the arrival product; bounds its temporaries to 512 kB
-_PRODUCT_BLOCK = 2 ** 16
 _MAX_FACTORS = 10 ** 7
 # factors multiplied before a closed-form tail may take over, and the share of
 # the head's log sum within which the tail is certified, in at most _MAX_TERMS
@@ -50,15 +48,13 @@ _MAX_TERMS = 64
 class ArrivalBracket:
     """Truncated infinite product: the tail of exact factors left after
     n_factors puts it in [value - width, value].  n_factors counts the factors
-    the value represents, not those multiplied one by one: beside a head of
-    2^12, poly, geom and const factors enter as a closed-form log sum.  At a
-    floor exit, width = value: the first partial product <= the floor among
-    factors multiplied one by one, or a whole product at or below it.  Not
-    covered: the rounding of the value, which is not outward.  It is exp of
-    the factors' log1p sum rounded once, measured within (4 + L) 2^-52
+    the value represents: past a head of 2^12, poly, geom and const factors
+    enter as a certified closed-form log sum.  At a floor exit, width =
+    value: the first partial product <= the floor within the head, or a
+    whole product at or below it.  Not covered: the rounding of the value,
+    exp of the factors' log1p sum rounded once, within (4 + L) 2^-52
     relative of their exact product, L = -log(value) (poly:1:3 at lambda = 1:
-    1.3e-16, one ulp, against a width of 1.0e-12), at a floor exit as at a
-    tail-bound one."""
+    1.3e-16, one ulp, against a width of 1.0e-12), at either exit."""
 
     value: float
     width: float
@@ -186,43 +182,35 @@ def _solve_bands(lam: float, mu_n: np.ndarray, mu_m: np.ndarray,
 
 
 def _log1p_sums(rates: RateSequence, lam: float, n_start: int, count: int,
-                floor: float) -> tuple[float, float, Optional[int]]:
+                floor: float) -> tuple[float, Optional[int]]:
     """The log1p sum of 1/(1 + lambda/mu_j) over `count` factors from
-    j = n_start, in order and in blocks: returns it as hi + lo and None, or
-    at the first partial product <= floor its sum, 0 and the factors it
-    holds.  The finished blocks' pairwise sums are carried by math.fsum as
-    hi + lo, with hi their correctly rounded total.  The floor is compared
-    with a running sum within the block; the sum it stops at is then formed
-    from hi, lo and that block's logs by math.fsum, so its product may lie an
-    ulp or so above the floor.  A rate that overflows is a factor of 1, a
-    ratio that overflows a factor of 0."""
-    hi = lo = 0.0
-    for done in range(0, count, _PRODUCT_BLOCK):
-        with np.errstate(over="ignore"):
-            ratio = lam / rates.mu_array(n_start + done, min(_PRODUCT_BLOCK, count - done))
-        logs = np.log1p(ratio)
-        small = np.flatnonzero(np.exp(-(hi + np.cumsum(logs))) <= floor)
-        if small.size:
-            k = int(small[0]) + 1
-            return math.fsum((hi, lo, *logs[:k].tolist())), 0.0, done + k
-        terms = (hi, lo, float(logs.sum()))
-        hi = math.fsum(terms)
-        lo = math.fsum((*terms, -hi))
-    return hi, lo, None
+    j = n_start, a head or a whole list, in one pairwise sum, and None; or
+    at the first partial product <= floor, found on the running sum, the
+    math.fsum of the logs so far, whose product may lie an ulp above the
+    floor, and the factors they hold.  A rate that overflows is a factor of
+    1, a ratio that overflows a factor of 0."""
+    with np.errstate(over="ignore"):
+        logs = np.log1p(lam / rates.mu_array(n_start, count))
+    small = np.flatnonzero(np.exp(-np.cumsum(logs)) <= floor)
+    if small.size:
+        k = int(small[0]) + 1
+        return math.fsum(logs[:k].tolist()), k
+    return float(logs.sum()), None
 
 
-def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
-                tol: float) -> Optional[list]:
+def _tail_terms(rates: MonotoneRates, lam: float, start: int, count: int,
+                tol: float) -> list:
     """Terms that sum to sum_{j=start}^{start+count-1} log1p(lam/mu_j) in closed
-    form, or None where none is certified within tol.
+    form within tol; FloatingPointError, naming start, where none is.
 
     Constant ratios give count * log1p(x).  Otherwise the alternating series
     sum_k (-1)^(k+1) S_k / k, S_k = sum_j (lam/mu_j)^k from rates.power_sums,
-    is cut after K terms: its rest is at most x^K S_1 / (K+1), x the largest
-    ratio, <= 1/4 beside the head of _arrival_product, so the terms fall by 4
-    each.  K grows until the cut and every power sum's error bound so far are
-    <= tol; these bounds grow with count, so a shorter tail from the same
-    start is certified if this one is."""
+    is cut after the first K whose cut, at most x^K S_1 / (K+1) with x the
+    largest ratio, and every power sum's error bound so far are <= tol.
+    Beside the head of _arrival_product x <= 1/4 and S_1 <= count x, at most
+    count / (0.875 _HEAD) of the head's sum, so for count < 2^26 the cut
+    meets _TAIL_TOL of that sum by K = 35.  The bounds grow with count, so a
+    shorter tail from the same start is certified if this one is."""
     with np.errstate(over="ignore"):
         x, x_end = lam / rates.mu(start), lam / rates.mu(start + count - 1)
     if x == x_end:  # constant ratios: const, geom:1, or a tail of one factor
@@ -238,7 +226,8 @@ def _tail_terms(rates: RateSequence, lam: float, start: int, count: int,
         worst = max(worst, remainder)
         if worst <= tol and x_max ** k * first / (k + 1) <= tol:
             return terms
-    return None
+    raise FloatingPointError(f"no closed-form tail of the arrival product from level "
+                             f"{start} is certified within {_MAX_TERMS} terms")
 
 
 def _arrival_product(rates: RateSequence, lam: float, n_start: int,
@@ -251,31 +240,27 @@ def _arrival_product(rates: RateSequence, lam: float, n_start: int,
     _log1p_sums multiplies a list, or a count <= _HEAD, whole; else a head of
     _HEAD factors where the ratios lambda/mu_j are largest, the first or, for
     falling rates, the last.  The rest is a closed-form tail, added to the
-    head's fsum carry, certified to _TAIL_TOL of the head's sum.  It sees no
-    ratio above 1/4: were the head's ratio nearest it above 1/4, all of the
-    head's would be, their log sum would pass _HEAD log1p(1/4) = 914 > 745
-    and the head's product would reach 0, a floor exit.  A floor exit in a
-    closing head, whose partial product bounds the whole one, or a whole
-    product at or below the floor, is one at `count`.  Where no tail is
-    certified, _log1p_sums multiplies all `count` factors from n_start."""
+    head's sum by math.fsum, certified to _TAIL_TOL of the head's sum.  It
+    sees no ratio above 1/4: were the head's ratio nearest it above 1/4, all
+    of the head's would be, their log sum would pass _HEAD log1p(1/4) = 914 >
+    745 and the head's product would reach 0, a floor exit.  A floor exit in
+    a closing head, whose partial product bounds the whole one, or a whole
+    product at or below the floor, is one at `count`."""
     _check_index(n_start, count)
     rest = count - _HEAD if count > _HEAD and isinstance(rates, MonotoneRates) else 0
     head_start, rest_start = n_start, n_start + _HEAD
     with np.errstate(over="ignore"):
         if rest and rates.mu(n_start + count - 1) < rates.mu(n_start):
             head_start, rest_start = n_start + rest, n_start
-    hi, lo, stop = _log1p_sums(rates, lam, head_start, count - rest, floor)
+    total, stop = _log1p_sums(rates, lam, head_start, count - rest, floor)
     if stop is not None and head_start > n_start:
         stop = count
     if stop is None and rest:
-        tail = _tail_terms(rates, lam, rest_start, rest, _TAIL_TOL * hi)
-        if tail is None:
-            hi, lo, stop = _log1p_sums(rates, lam, n_start, count, floor)
-        else:
-            hi = math.fsum((hi, lo, *tail))
-            if math.exp(-hi) <= floor:
-                stop = count
-    return math.exp(-hi), (count if stop is None else stop), stop is not None
+        total = math.fsum((total, *_tail_terms(rates, lam, rest_start, rest,
+                                                _TAIL_TOL * total)))
+        if math.exp(-total) <= floor:
+            stop = count
+    return math.exp(-total), (count if stop is None else stop), stop is not None
 
 
 def arrival_partial_product(rates: RateSequence, lam: float, n_start: int,

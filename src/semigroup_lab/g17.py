@@ -10,8 +10,8 @@ the rounding of D unless the fractional part lies within 1e-6 of 1/2.  Such
 a near tie, a D outside [10**16, 10**17) (k off by one near a power of ten),
 and any nonzero |v| outside [1e-270, 1e290), where the splits could overflow
 or lose bits (subnormals included), go to `_fallback`: Python's own `%.17g`.
-An array of fewer than _SMALL values goes to Python's formatter whole.  A
-zero is written as '0' or '-0' directly.
+A zero is written as '0' or '-0' directly.  `csv_blocks` sends a table of
+fewer than _SMALL values to Python's formatter whole, through one template.
 
 Slot layout: bytes 0-5 hold the sign and, for 1e-4 <= |v| < 1, the '0.000'
 prefix; digit j sits at byte 6 + 2j with the place after it (7 + 2j) for the
@@ -144,13 +144,10 @@ def _encode_chunk(x: np.ndarray, imag: np.ndarray, out: np.ndarray) -> None:
 def encode(x: np.ndarray, complex_lanes: bool = False) -> np.ndarray:
     """The (x.size, SLOT) uint8 slots of the finite float64 values x (1-D);
     with complex_lanes, x interleaves real and imaginary parts, and each
-    imaginary part is written '%+.17gj'.  Fewer than _SMALL values go to
-    the formatter whole."""
+    imaginary part is written '%+.17gj'."""
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     lanes = np.arange(min(x.size, _CHUNK))
     imag = lanes % 2 if complex_lanes else np.zeros_like(lanes)
-    if x.size < _SMALL:
-        return _slots(_fallback(x.tolist(), imag.tolist()))
     out = np.empty((x.size, SLOT), np.uint8)
     for s in range(0, x.size, _CHUNK):  # _CHUNK is even: lanes keep their parity
         chunk = x[s:s + _CHUNK]

@@ -55,11 +55,18 @@ class RateSequence:
         return mu
 
     def first_nonfinite(self, levels: int) -> Optional[int]:
-        """The first n < levels whose mu_n is not finite, or None.  This reads
-        every rate; a monotone family reads O(log levels) of them."""
-        with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~np.isfinite(self.mu_array(0, levels)))
-        return int(bad[0]) if bad.size else None
+        """The first n < levels whose mu_n is not finite, or None, bisected
+        from the top level in O(log levels) reads: only a run of top levels
+        can overflow, in a monotone family from a finite mu_0 as in a list,
+        whose rates are finite (and which raises RateRangeError when shorter
+        than levels)."""
+        def overflows(n: int) -> bool:
+            with np.errstate(over="ignore"):
+                return not math.isfinite(self.mu(n))
+
+        if not overflows(levels - 1):
+            return None
+        return bisect.bisect_left(range(levels), True, key=overflows)
 
     def inverse_tail(self, start: int) -> float:
         """Upper bound on sum_{j >= start} 1/mu_j, non-increasing in start and
@@ -79,15 +86,6 @@ class MonotoneRates(RateSequence):
     lam/mu_n are monotone too and only a run of top levels can overflow, and
     with the power sums of ratios that vary in closed form (constant ratios,
     whose log sum is count * log1p(x), have none)."""
-
-    def first_nonfinite(self, levels: int) -> Optional[int]:
-        def overflows(n: int) -> bool:
-            with np.errstate(over="ignore"):
-                return not math.isfinite(self.mu(n))
-
-        if not overflows(levels - 1):
-            return None
-        return bisect.bisect_left(range(levels), True, key=overflows)
 
     def power_sums(self, lam: float, start: int, count: int) -> PowerSums:
         """k -> (pieces, bound): float pieces that sum to S_k / k, S_k =

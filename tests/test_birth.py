@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semigroup_lab.birth
@@ -81,17 +81,14 @@ def assert_log_rounding(value, expected):
     assert abs(value - expected) <= (4 - math.log(expected)) * 2.0 ** -52 * expected
 
 
-def compared_partial(rates, lam, k, block):
-    """The partial product the blocked route compares with its floor at factor
-    k (from level 0): exp of minus the fsum of the pairwise sums of the blocks
-    before k's block and the running sum within it."""
+def compared_partial(rates, lam, k):
+    """The partial product the route compares with its floor at factor k
+    (from level 0): exp of minus the running sum of the logs."""
     logs = np.log1p(lam / rates.mu_array(0, k))
-    start = (k - 1) // block * block
-    head = math.fsum(float(logs[i:i + block].sum()) for i in range(0, start, block))
-    return float(np.exp(-(head + np.cumsum(logs[start:k])))[-1])
+    return float(np.exp(-np.cumsum(logs))[-1])
 
 
-def blocked_arrival(rates, lam, **kwargs):
+def arrival_triple(rates, lam, **kwargs):
     bracket = arrival_laplace(rates, lam, **kwargs)
     return bracket.value, bracket.width, bracket.n_factors
 
@@ -363,36 +360,31 @@ class TestArrivalProduct:
             arrival_laplace(ExplicitRates((1.0, 2.0, 4.0)), 1.0, tail_tol=1e-10)
 
     @pytest.mark.parametrize("rates, lams, n_start, tail_tol", ARRIVAL_GRID)
-    def test_blocks_match_sequential_loop(self, monkeypatch, rates, lams, n_start,
-                                          tail_tol):
+    def test_matches_sequential_loop(self, monkeypatch, rates, lams, n_start, tail_tol):
         # the factor-by-factor loop fixes the exit and its factor count; the
         # value is the log-sum product of those factors, to its rounding at
-        # either exit.  A small prime block size makes every case cross block
-        # boundaries
-        default_block = semigroup_lab.birth._PRODUCT_BLOCK
+        # either exit
         default = semigroup_lab.birth._MAX_FACTORS
         for lam in lams:
             reference, reference_width, k = sequential_arrival(rates, lam, n_start,
                                                                tail_tol)
             expected = log_product(rates, lam, n_start, k)
-            for block in (7, default_block):
-                monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", block)
-                # the default factor budget, and one that ends exactly at, or
-                # one short of, the exit
-                for budget in (default, k):
-                    monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", budget)
-                    value, width, n_factors = blocked_arrival(
-                        rates, lam, n_start=n_start, tail_tol=tail_tol)
-                    assert n_factors == k
-                    if reference_width == reference:  # the floor exit
-                        assert width == value <= tail_tol
-                    else:
-                        tail = rates.inverse_tail(n_start + k)
-                        assert width == -value * math.expm1(-lam * tail)
-                    assert_log_rounding(value, expected)
-                monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
-                with pytest.raises(RuntimeError, match="no certified bracket"):
-                    blocked_arrival(rates, lam, n_start=n_start, tail_tol=tail_tol)
+            # the default factor budget, and one that ends exactly at, or one
+            # short of, the exit
+            for budget in (default, k):
+                monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", budget)
+                value, width, n_factors = arrival_triple(
+                    rates, lam, n_start=n_start, tail_tol=tail_tol)
+                assert n_factors == k
+                if reference_width == reference:  # the floor exit
+                    assert width == value <= tail_tol
+                else:
+                    tail = rates.inverse_tail(n_start + k)
+                    assert width == -value * math.expm1(-lam * tail)
+                assert_log_rounding(value, expected)
+            monkeypatch.setattr(semigroup_lab.birth, "_MAX_FACTORS", k - 1)
+            with pytest.raises(RuntimeError, match="no certified bracket"):
+                arrival_triple(rates, lam, n_start=n_start, tail_tol=tail_tol)
 
     def test_grid_reaches_both_exits(self):
         value, width, _ = sequential_arrival(GEO, 1.0)
@@ -400,7 +392,7 @@ class TestArrivalProduct:
         # the benchmark's other tail-bound exits, whose widths the mpmath test checks
         for rates, lam in [(GEO, 0.5), (GEO, 2.0), (GeometricRates(1.01), 0.25),
                            (PolynomialRates(1.0, 3.0), 1.0)]:
-            value, width, _ = blocked_arrival(rates, lam)
+            value, width, _ = arrival_triple(rates, lam)
             assert 0.0 < width < value
         value, width, _ = sequential_arrival(GeometricRates(1.01), 1.0)
         assert width == value
@@ -443,13 +435,13 @@ class TestArrivalProduct:
         # reaches down to 0 and stops at 102
         rates = GeometricRates(1.01)
         _, _, k = sequential_arrival(rates, 0.5)
-        compared = compared_partial(rates, 0.5, k, semigroup_lab.birth._PRODUCT_BLOCK)
-        value, width, n_factors = blocked_arrival(rates, 0.5, tail_tol=compared)
+        compared = compared_partial(rates, 0.5, k)
+        value, width, n_factors = arrival_triple(rates, 0.5, tail_tol=compared)
         assert (n_factors, width) == (k, value)
         assert value > compared
         assert_log_rounding(value, log_product(rates, 0.5, 0, k))
 
-    @pytest.mark.parametrize("count", [1780, 1830, 1837, 1838, 3000])
+    @pytest.mark.parametrize("count", [1780, 1817, 1830, 1835, 1837, 1838, 3000])
     def test_subnormal_product_is_the_nearest_double(self, count):
         # (2/3)^count leaves the normal range at count 1750; dividing on by
         # 1.5 stuck at the smallest subnormal, 5e-324, where the product is
@@ -460,32 +452,32 @@ class TestArrivalProduct:
         assert arrival_partial_product(ConstantRates(2.0), 1.0, 0, count) == expected
         assert (expected == 0.0) == (count >= 1838)
 
-    @pytest.mark.parametrize("count", [1817, 1830, 1835])
-    def test_subnormal_product_across_blocks(self, monkeypatch, count):
-        # with blocks of 7 the product stays subnormal over many blocks; one
-        # rounding per block gave 1.1023e-320, 6e-323 and 5e-324 here
-        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            expected = float((mpmath.mpf(2) / 3) ** count)
-        assert arrival_partial_product(ConstantRates(2.0), 1.0, 0, count) == expected
+    def test_long_list_is_one_log_sum(self):
+        # 10^5 rates j + 1, multiplied whole, against the exactly summed logs:
+        # the fsum of 2^16-factor block sums was 1.23 times the bound off at
+        # lambda = 10
+        rates = ExplicitRates(tuple(1.0 + np.arange(10.0 ** 5)))
+        for lam in (3.0, 10.0):
+            assert_log_rounding(arrival_partial_product(rates, lam, 0, 10 ** 5),
+                                log_product(rates, lam, 0, 10 ** 5))
 
     @pytest.mark.parametrize("rates", [GEO, GeometricRates(1.01)])
-    def test_exit_tests_at_equality(self, monkeypatch, rates):
+    def test_exit_tests_at_equality(self, rates):
         # a partial product equal to tail_tol ends the product; a tail bound
         # equal to it does not.  The exits are the factor-by-factor loop's
-        monkeypatch.setattr(semigroup_lab.birth, "_PRODUCT_BLOCK", 7)
         _, _, k = sequential_arrival(rates, 1.0)
-        compared = compared_partial(rates, 1.0, k, 7)
+        compared = compared_partial(rates, 1.0, k)
         for tail_tol in (compared, rates.inverse_tail(k)):
-            value, width, n_factors = blocked_arrival(rates, 1.0, tail_tol=tail_tol)
+            value, width, n_factors = arrival_triple(rates, 1.0, tail_tol=tail_tol)
             reference, reference_width, reference_k = sequential_arrival(
                 rates, 1.0, tail_tol=tail_tol)
             assert n_factors == reference_k
             assert (width == value) == (reference_width == reference)
-        if rates.a == 1.01:  # it ends on the floor at k; here the product of
-            # its factors, rounded once, is the value it compared
-            assert blocked_arrival(rates, 1.0, tail_tol=compared) == (compared, compared, k)
+        if rates.a == 1.01:  # it ends on the floor at k, with the product of
+            # its factors rounded once
+            value, width, n_factors = arrival_triple(rates, 1.0, tail_tol=compared)
+            assert (width, n_factors) == (value, k)
+            assert_log_rounding(value, log_product(rates, 1.0, 0, k))
 
     def test_uncertified_product_raises(self, monkeypatch):
         rates = PolynomialRates(2.0, 2.5)
@@ -525,22 +517,16 @@ class TestArrivalProduct:
 
 
 def loop_product(rates, lam, n_start, count, floor):
-    """The blocked log1p loop over every factor, as the arrival product ran
-    before it had a closed-form tail: (product, factors, stopped at floor)."""
-    block = semigroup_lab.birth._PRODUCT_BLOCK
-    hi = lo = 0.0
-    for done in range(0, count, block):
-        with np.errstate(over="ignore"):
-            ratio = lam / rates.mu_array(n_start + done, min(block, count - done))
-        logs = np.log1p(ratio)
-        small = np.flatnonzero(np.exp(-(hi + np.cumsum(logs))) <= floor)
-        if small.size:
-            k = int(small[0]) + 1
-            return math.exp(-math.fsum((hi, lo, *logs[:k].tolist()))), done + k, True
-        terms = (hi, lo, float(logs.sum()))
-        hi = math.fsum(terms)
-        lo = math.fsum((*terms, -hi))
-    return math.exp(-hi), count, False
+    """The log1p sum over every factor, as the arrival product takes a head
+    or a list: (product, factors, stopped at floor), the first partial
+    product <= floor found on the running sum."""
+    with np.errstate(over="ignore"):
+        logs = np.log1p(lam / rates.mu_array(n_start, count))
+    small = np.flatnonzero(np.exp(-np.cumsum(logs)) <= floor)
+    if small.size:
+        k = int(small[0]) + 1
+        return math.exp(-math.fsum(logs[:k].tolist())), k, True
+    return math.exp(-float(logs.sum())), count, False
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,8 +622,42 @@ TAIL_CASES = [
 ]
 
 
+@st.composite
+def monotone_products(draw):
+    """(rates, lambda, n_start, count, floor) of a poly, rising or falling
+    geom, or const product of up to 2^26 factors from a level up to 10^9;
+    lambda log-uniform in [1e-320, 1e300], or set so that the tail's largest
+    ratio is 1/4, where the head underflows, just below expm1(745.2 / 2^12) =
+    0.1995, the largest a tail can meet, or well below it.  Falling rates
+    stay above 1e-300: one that underflows to 0 is refused before any
+    product."""
+    kind = draw(st.sampled_from(["poly", "geom", "falling", "const"]))
+    n_start, count = draw(st.integers(0, 10 ** 9)), draw(st.integers(0, 2 ** 26))
+    if kind == "poly":
+        rates = PolynomialRates(10.0 ** draw(st.floats(-3, 3)), draw(st.floats(0.1, 40)))
+    elif kind == "geom":
+        rates = GeometricRates(1 + 10.0 ** draw(st.floats(-9, 0)))
+    elif kind == "falling":
+        rates = GeometricRates(1 - 10.0 ** draw(st.floats(-9, -1)))
+        last = int(math.log(1e-300) / math.log(rates.a))
+        n_start %= last + 1
+        count = min(count, last - n_start + 1)
+    else:
+        rates = ConstantRates(10.0 ** draw(st.floats(-3, 3)))
+    lam = 10.0 ** draw(st.floats(-320, 300))
+    ratio = draw(st.sampled_from([None, 0.25, 0.1995, 0.19, 0.1, 1e-3, 1e-9]))
+    if ratio is not None:  # at the tail's largest ratio, unless its rate overflows
+        head = semigroup_lab.birth._HEAD
+        level = n_start + (count - head - 1 if kind == "falling" else head)
+        with np.errstate(over="ignore"):
+            tail_lam = ratio * rates.mu(max(level, n_start))
+        if math.isfinite(tail_lam):
+            lam = tail_lam
+    return rates, lam, n_start, count, draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-3]))
+
+
 class TestArrivalTail:
-    # beside a head of 2^12 factors, the blocked loop at the largest ratios,
+    # beside a head of 2^12 factors, one log1p pass at the largest ratios,
     # the log sum is summed in closed form
 
     @pytest.mark.parametrize("rates, lam, n_start", TAIL_CASES)
@@ -693,8 +713,9 @@ class TestArrivalTail:
             with mpmath.workdps(40):
                 expected = float(mpmath.exp(-exact_tail(mpmath, rates, 1.0, 299, count)))
             assert_log_rounding(math.exp(-math.fsum(terms)), expected)
-        # from level 9 the B6 remainder exceeds 1e-16: no tail is certified
-        assert semigroup_lab.birth._tail_terms(rates, 1.0, 9, 1000, 1e-16) is None
+        # from level 9 the B6 remainder exceeds 1e-16: the tail is refused
+        with pytest.raises(FloatingPointError, match="from level 9 is certified"):
+            semigroup_lab.birth._tail_terms(rates, 1.0, 9, 1000, 1e-16)
 
     @pytest.mark.parametrize("rates, lam, counts", [
         (PolynomialRates(1.0, 3.0), 1.0, (1, 100, 4095, 4096)),
@@ -738,7 +759,7 @@ class TestArrivalTail:
         head = semigroup_lab.birth._HEAD
         lam = ratio * rates.mu(n_start + head)
         assert 0.25 < lam / rates.mu(n_start + head) <= 1e6
-        _, _, stop = semigroup_lab.birth._log1p_sums(rates, lam, n_start, head, 0.0)
+        _, stop = semigroup_lab.birth._log1p_sums(rates, lam, n_start, head, 0.0)
         assert stop is not None and stop < head
 
     def test_floor_exit_past_the_head(self):
@@ -779,19 +800,30 @@ class TestArrivalTail:
         assert factors is None or result == factors
         assert sum(count for _, count in reads) <= 2 ** 12 + 64
 
-    def test_uncertified_tail_is_multiplied(self, monkeypatch):
-        # with no tail certified every factor is multiplied, as by the loop,
-        # to the same bits
+    def test_uncertified_tail_is_refused(self, monkeypatch):
+        # with no tail certified the product is refused, naming the level
+        # the tail starts from
         monkeypatch.setattr(semigroup_lab.birth, "_MAX_TERMS", 1)
         for rates, lam, n_start in [(POLY, 1.0, 0), (PolynomialRates(2.5, 1.1), 0.5, 1)]:
-            expected = loop_product(rates, lam, n_start, 10 ** 5, 0.0)
-            assert semigroup_lab.birth._arrival_product(
-                rates, lam, n_start, 10 ** 5, 0.0) == expected
+            with pytest.raises(FloatingPointError, match=f"from level {n_start + 4096} "):
+                semigroup_lab.birth._arrival_product(rates, lam, n_start, 10 ** 5, 0.0)
         # falling rates: the last 2^12 factors, with ratios from 0.015 to 0.022,
         # take the product below the floor before any tail, an exit at count
         value, n_factors, floored = semigroup_lab.birth._arrival_product(
             GeometricRates(0.9999), 1e-6, 0, 10 ** 5, 1e-12)
         assert value <= 1e-12 and (n_factors, floored) == (10 ** 5, True)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(monotone_products())
+    def test_every_tail_is_certified(self, case):
+        # a closed-form tail that is not certified is refused; beside the
+        # head, with no ratio above 1/4, none is, in the CLI's errstate
+        rates, lam, n_start, count, floor = case
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, n_factors, floored = semigroup_lab.birth._arrival_product(
+                rates, lam, n_start, count, floor)
+        assert 0.0 <= value <= 1.0 and 0 <= n_factors <= count
+        assert floored or n_factors == count
 
 
 class TestArrivalClosedForms:

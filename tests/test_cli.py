@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import semigroup_lab.birth
 from semigroup_lab import KernelGrid, NonFiniteError, __version__, arrival_partial_product, cli
 from semigroup_lab.cli import _Writer, _load_config, run
 from semigroup_lab.rates import parse_rate_spec
@@ -60,6 +61,15 @@ class TestBirthSubcommand:
                 for lam, line in zip(lambdas, lines):
                     expected = mpmath.fprod(1 / (1 + lam / mu(j)) for j in range(dim))
                     assert abs(float(line.split(",")[3]) - expected) <= 1e-13 * expected
+
+    def test_uncertified_tail_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a closed-form tail cut after one term is not certified: refused,
+        # naming the level it starts from, and nothing is written
+        monkeypatch.setattr(semigroup_lab.birth, "_MAX_TERMS", 1)
+        code, out = run_cli(tmp_path, "birth", {"rates": "poly:1:3", "lambda": 10, "N": 10 ** 5})
+        assert_clean_exit(capsys, code, 3, "numerical failure: no closed-form tail of the "
+                                           "arrival product from level 4096 ")
+        assert not any(out.iterdir())
 
     def test_byte_identical_reruns(self, tmp_path):
         payload = {"rates": "geom:2", "lambda": [0.5, 1.0], "N": 40}
@@ -673,8 +683,8 @@ class TestNonFiniteOutput:
         ("poly:1:3", 2 ** 26, 4 * (2 ** 12 + 64)),
         ("geom:1.01", 71333, 4 * (2 ** 12 + 64)),
         ("const:2", 10 ** 6, 4 * (2 ** 12 + 64)),
-        # a list is checked whole
-        pytest.param("list:" + ",".join(["1"] * 5000), 5000, 5 * 5000, id="list"),
+        # a list: its top rate, then the arrival products, multiplied whole
+        pytest.param("list:" + ",".join(["1"] * 5000), 5000, 1 + 4 * 5000, id="list"),
     ])
     def test_rate_check_reads_the_ends(self, tmp_path, monkeypatch, rates, dim, most):
         reads = []
@@ -689,8 +699,8 @@ class TestNonFiniteOutput:
         code, out = run_cli(tmp_path, "birth", {"rates": rates, "lambda": [1, 2], "N": dim})
         assert code == 0
         assert sum(reads) <= most
-        if rates.startswith("list"):
-            assert reads[0] == dim
+        if rates.startswith("list"):  # finite by construction: its top rate
+            assert reads[0] == 1
 
     def test_overflowing_arrival_factors_exit_3(self, tmp_path, capsys):
         # the arrival product starts past the overflow, at mu_1030 = inf

@@ -101,6 +101,17 @@ class TestBytes:
         parts = values.view(np.float64)
         assert encoded_csv(parts, width=2) == reference_csv(parts, width=2)
 
+    @pytest.mark.parametrize("size", [0, 1, 49, 127])
+    def test_small_arrays_take_the_vectorized_route(self, size):
+        # encode has one route whatever the size: a kernel's last tile of
+        # 7 x 7 cells, or a short final block
+        values = np.concatenate([EDGES, -EDGES, exact_ties(50, np.random.default_rng(6)),
+                                 np.linspace(-3.0, 3.0, 60)])[:size]
+        for lanes in (False, True):
+            texts = [("%+.17gj" if lanes and i % 2 else "%.17g") % v
+                     for i, v in enumerate(values.tolist())]
+            assert g17.text(g17.encode(values, lanes)) == "".join(texts).encode()
+
     @pytest.mark.parametrize("size", [5, 50_000])
     def test_slots_leave_the_separator_byte_free(self, size):
         slots = g17.encode(million_values()[:size], complex_lanes=True)
@@ -108,8 +119,9 @@ class TestBytes:
 
     @pytest.mark.parametrize("name", WRITER_GRIDS)
     def test_writer_grids_on_the_vectorized_route(self, tmp_path, monkeypatch, name):
-        """The edge grids of the kernel writer's tests, small enough to go to
-        the formatter whole, with every value through the vectorized route."""
+        """The edge grids of the kernel writer's tests, small enough for
+        csv_blocks to format whole, with every value through the vectorized
+        route."""
         monkeypatch.setattr(g17, "_SMALL", 0)
         grid = WRITER_GRIDS[name]()
         grid.to_csv(tmp_path / "rows.csv")
@@ -141,13 +153,12 @@ class TestFallback:
         assert formatted == []
 
     @pytest.mark.parametrize("width", [1, 2])
-    def test_small_arrays_go_to_the_formatter_whole(self, monkeypatch, formatted, width):
+    def test_small_tables_go_to_the_formatter_whole(self, monkeypatch, formatted, width):
         encoded = []
         monkeypatch.setattr(g17, "_encode_chunk", lambda x, *args: encoded.append(x))
         values = np.linspace(0.5, 2.5, 120).reshape(3, 40)  # fewer than g17._SMALL
         assert encoded_csv(values, width) == reference_csv(values, width)
-        assert g17.encode(values[0]).shape == (values.shape[1], g17.SLOT)
-        assert encoded == [] and formatted == values[0].tolist()
+        assert encoded == [] and formatted == []
 
     def test_subnormals_extremes_and_ties_fall_back(self, formatted):
         ties = exact_ties(200, np.random.default_rng(2))
