@@ -5,8 +5,10 @@ Draws --values seeded values, a batch of 10**6 at a time: random 64-bit
 patterns (the finite ones), normals scaled by 10**[-308, 308], subnormals,
 integers and quarters, and exact 17-digit rounding ties in every decade
 that has them (k from -8 to 15).  Each batch is written as CSV rows by
-`g17.csv_blocks` and by `'%.17g' %`, and the two texts must be equal byte
-for byte; the first differing cell is printed and the exit status is 1.
+`g17.csv_blocks` and by Python's `%` formatter, half of its rows as '%.17g'
+cells and half as '%.17g%+.17gj' cells of (real, imaginary) pairs, and the
+two texts must be equal byte for byte; the first differing cell is printed
+and the exit status is 1.
 """
 
 import argparse
@@ -48,14 +50,18 @@ def main():
     start, done = time.perf_counter(), 0
     while done < args.values:
         values = batch(rng, min(10 ** 6, args.values - done))
-        got = b"".join(g17.csv_blocks(values))
-        want = "".join(("%.17g," * 999 + "%.17g\n") % tuple(row) for row in values.tolist())
-        if got != want.encode():
-            cells = zip(got.replace(b"\n", b",").split(b","), want.encode().replace(b"\n", b",").split(b","))
-            print("mismatch:", next((a, b) for a, b in cells if a != b))
-            sys.exit(1)
+        half = values.shape[0] // 2
+        for rows, cell, width in ((values[:half], "%.17g", 1),
+                                  (values[half:], "%.17g%+.17gj", 2)):
+            got = b"".join(g17.csv_blocks(rows, width))
+            line = ",".join([cell] * (1000 // width)) + "\n"
+            want = "".join(line % tuple(row) for row in rows.tolist()).encode()
+            if got != want:
+                cells = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
+                print("mismatch:", next((a, b) for a, b in cells if a != b))
+                sys.exit(1)
         done += max(values.size, 1)
-    print(f"{done} values byte-identical to '%.17g' in {time.perf_counter() - start:.1f} s")
+    print(f"{done} values byte-identical to Python's formatter in {time.perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":

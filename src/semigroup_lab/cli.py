@@ -241,10 +241,14 @@ def _run_birth(config: dict, writer: _Writer, seed: int) -> None:
     bad = rates.first_nonfinite(dim)
     if bad is not None:
         rates.finite_mu_array(bad, 1)  # refuses mu_bad
+    # a list of exactly N rates is multiplied whole by arrival_laplace, a
+    # product over the same factors as the truncated chain's defect
+    whole_list = isinstance(rates, ExplicitRates) and len(rates.values) == dim
     rows = []
     for lam in _lambdas(config["lambda"]):
         bracket = arrival_laplace(rates, lam, n_start=n_start, tail_tol=tail_tol)
-        defect = arrival_partial_product(rates, lam, n_start, dim - n_start)
+        defect = (bracket.value if whole_list else
+                  arrival_partial_product(rates, lam, n_start, dim - n_start))
         rows.append((lam, bracket.value, bracket.width, defect))
     writer.csv("arrival.csv",
                ("lambda", "product_value", "bracket_width", "defect_truncated"),
@@ -333,8 +337,8 @@ def _spec_numbers(spec_text: str, fields) -> list:
 # band array 2, its product 2): the hermitian (1 + 0.5j x) bump(x) kernel
 # peaks at 1.86 GB resident and a 2047.5 MiB address space at 4527 points
 # (2048.5 MiB at 4528).  The kernel writer runs after the quadrature, with
-# the three grids live: its traced working set is 72 MB at 4729 points for
-# bump, mostly the text of the mirrored tiles it keeps (about a quarter of
+# the three grids live: its traced working set is 55 MB at 4729 points for
+# bump, mostly the text of the mirrored cells it keeps (about a quarter of
 # the cells), and 21 MB for the complex kernel at 4527, whose symmetry check
 # holds one bool per cell.  shift-demo takes about 340 bytes per point
 _DIFFUSION_POINTS = 4729
@@ -430,7 +434,7 @@ def _run_shift_demo(config: dict, writer: _Writer, seed: int) -> None:
         raise ConfigError(f"psi {config['psi']!r} is zero at every grid point")
     table = shift_arrival_density(psi, h)
     writer.csv("shift_density.csv", ("t", "density", "cumulative"),
-               list(zip(table.times, table.density, table.cumulative)))
+               np.column_stack((table.times, table.density, table.cumulative)))
 
 
 _RUNNERS = {

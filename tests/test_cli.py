@@ -62,6 +62,28 @@ class TestBirthSubcommand:
                     expected = mpmath.fprod(1 / (1 + lam / mu(j)) for j in range(dim))
                     assert abs(float(line.split(",")[3]) - expected) <= 1e-13 * expected
 
+    def test_a_list_of_n_rates_is_multiplied_once_per_lambda(self, tmp_path, monkeypatch):
+        # arrival_laplace multiplies such a list whole, the same product as
+        # the truncated chain's defect, which is not taken a second time
+        calls = []
+        product = semigroup_lab.birth._arrival_product
+
+        def counted(rates, lam, n_start, count, floor):
+            calls.append((lam, n_start, count))
+            return product(rates, lam, n_start, count, floor)
+
+        monkeypatch.setattr(semigroup_lab.birth, "_arrival_product", counted)
+        spec = "list:" + ",".join(repr(1.001 ** j) for j in range(10 ** 4))
+        code, out = run_cli(tmp_path, "birth", {"rates": spec, "lambda": [0.25, 0.5],
+                                                "N": 10 ** 4})
+        assert code == 0
+        assert calls == [(0.25, 0, 10 ** 4), (0.5, 0, 10 ** 4)]
+        rows = np.loadtxt(out / "arrival.csv", delimiter=",", skiprows=2)
+        rates = parse_rate_spec(spec)
+        assert rows[:, 3].tolist() == [arrival_partial_product(rates, lam, 0, 10 ** 4)
+                                       for lam in (0.25, 0.5)]
+        assert 0 < rows[1, 3] < rows[0, 3] < 1e-100
+
     def test_uncertified_tail_exits_3(self, tmp_path, capsys, monkeypatch):
         # a closed-form tail cut after one term is not certified: refused,
         # naming the level it starts from, and nothing is written
@@ -683,8 +705,8 @@ class TestNonFiniteOutput:
         ("poly:1:3", 2 ** 26, 4 * (2 ** 12 + 64)),
         ("geom:1.01", 71333, 4 * (2 ** 12 + 64)),
         ("const:2", 10 ** 6, 4 * (2 ** 12 + 64)),
-        # a list: its top rate, then the arrival products, multiplied whole
-        pytest.param("list:" + ",".join(["1"] * 5000), 5000, 1 + 4 * 5000, id="list"),
+        # a list: its top rate, then one arrival product per lambda, multiplied whole
+        pytest.param("list:" + ",".join(["1"] * 5000), 5000, 1 + 2 * 5000, id="list"),
     ])
     def test_rate_check_reads_the_ends(self, tmp_path, monkeypatch, rates, dim, most):
         reads = []

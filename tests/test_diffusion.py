@@ -13,6 +13,7 @@ from semigroup_lab import (
     apply_resolvent,
     apply_semigroup,
     diagonal_slope,
+    g17,
     kernel_trace,
     support_extent,
     trace_loss,
@@ -199,6 +200,29 @@ def _mirrored_signed_zero():
     return KernelGrid(X=1.5, h=0.5, values=values)
 
 
+# one value of each layout of a g17 slot: exponent form both ways, fixed form
+# below 1 and from 1 to 10, the point moved (10 <= |v| < 1e17), whole numbers,
+# signed zeros, and a subnormal and exact ties, which take the fallback
+LAYOUT_REALS = [1.2345e20, 1e17, 123456789012345680.0, 3.5e-300, 1e-5, 0.000123,
+                0.5, 1 / 3, 1.0, 2.5, 12.5, 123456.789, 99999.999999999985,
+                1000.0, 10.0, 1e16, 0.0, -0.0, 5e-324, 1000000000000000.25,
+                1 + 2.0 ** -17]
+
+
+def _layout_grid(n, dtype=float):
+    """A bitwise-symmetric grid on n points: a third of its cells drawn from
+    LAYOUT_REALS and their negatives, the rest scaled normals."""
+    rng = np.random.default_rng(n)
+    parts = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-30, 30, (n, n))
+             for _ in range(2 if dtype is complex else 1)]
+    special = np.array(LAYOUT_REALS + [-v for v in LAYOUT_REALS])
+    for values in parts:
+        pick = rng.random((n, n)) < 1 / 3
+        values[pick] = rng.choice(special, pick.sum())
+    values = parts[0] + 1j * parts[1] if dtype is complex else parts[0]
+    return KernelGrid(X=0.5 * (n - 1), h=0.5, values=_mirrored(values))
+
+
 WRITER_GRIDS = {
     "real edge values": lambda: _edge_grid(EDGE_REALS),
     "complex signed zeros": lambda: _edge_grid(EDGE_COMPLEX),
@@ -235,6 +259,26 @@ class TestKernelWriter:
         per_element_csv(grid, tmp_path / "oracle.csv", header=header)
         assert (tmp_path / "rows.csv").read_bytes() == \
             (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, dtype", [(130, float), (257, float), (601, float),
+                                          (129, complex)])
+    def test_symmetric_grids_of_many_row_blocks(self, tmp_path, monkeypatch, n, dtype):
+        """A bitwise-symmetric grid of several blocks of rows, the last one
+        short: its mirrored cells cross from block to block byte for byte."""
+        formatted = []
+        fallback = g17._fallback
+
+        def counting(values, imag):
+            formatted.extend(values)
+            return fallback(values, imag)
+
+        monkeypatch.setattr(g17, "_fallback", counting)
+        grid = _layout_grid(n, dtype)
+        grid.to_csv(tmp_path / "rows.csv")
+        per_element_csv(grid, tmp_path / "oracle.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
+        assert {5e-324, 1000000000000000.25, 1 + 2.0 ** -17} <= {abs(v) for v in formatted}
 
     def test_zero_imaginary_parts_take_the_real_path(self, tmp_path):
         grid = WRITER_GRIDS["complex dtype, zero imaginary"]()
