@@ -5,11 +5,13 @@ Column d of a band array holds the d-th offset diagonal, zero-padded below:
 `upper_bands(values)[k, d] = values[k, k + d]`, and the lower bands are the
 upper bands of the transpose, so column 0 of both is the main diagonal.
 
-`map_bands(values, fn)` splits a square matrix into its lower and upper band
-arrays, maps each by fn and rebuilds the matrix with `from_bands`; fn must
-act on each band array as a whole and return one of the same shape.  A
-matrix equal to its transpose bit for bit has equal band arrays, so it builds
-and maps only the lower ones, and the result is symmetric by construction.
+`map_bands(values, fn)` maps a square matrix's lower band array by fn and
+writes the result into the output matrix, then does the same for the upper
+band array, so one band array is held beside the result; fn must act on each
+band array as a whole and return one of the same shape and dtype, and may
+overwrite the array it is given.  A matrix equal to its transpose bit for
+bit has equal band arrays, so it builds and maps only the lower ones, and
+the result is symmetric by construction.
 
 `band_solve` is the lower-bidiagonal forward sweep behind the birth
 resolvent: one row of every band at a time.
@@ -37,23 +39,38 @@ def upper_bands(values: np.ndarray) -> np.ndarray:
     return bands
 
 
-def from_bands(low: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """out[j+d, j] = low[j, d], out[j, j+d] = up[j, d]; no padding row is read."""
-    n = low.shape[0]
-    out = np.zeros((n, n), dtype=np.result_type(low, up))
+def _put(out: np.ndarray, bands: np.ndarray, upper: bool) -> None:
+    """out[j, j+d] = bands[j, d] for d >= 1 if upper, else out[j+d, j] =
+    bands[j, d] for d >= 0; no padding row is read."""
+    n = out.shape[0]
     flat = out.reshape(-1)
-    for d in range(n):
-        flat[d:(n - d) * (n + 1):n + 1] = up[:n - d, d]
-        flat[d * n::n + 1] = low[:n - d, d]
+    for d in range(1 if upper else 0, n):
+        start = d if upper else d * n
+        flat[start:start + (n - d) * (n + 1):n + 1] = bands[:n - d, d]
+
+
+def from_bands(low: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """out[j+d, j] = low[j, d], out[j, j+d] = up[j, d] off the diagonal; the
+    diagonal comes from low."""
+    out = np.zeros(low.shape, dtype=np.result_type(low, up))
+    _put(out, up, upper=True)
+    _put(out, low, upper=False)
     return out
 
 
 def map_bands(values: np.ndarray, fn) -> np.ndarray:
     """from_bands(fn(lower bands), fn(upper bands)) of a square matrix, with
-    one fn call when the matrix is bitwise symmetric."""
-    lower = fn(upper_bands(values.T))
-    upper = lower if bitwise_symmetric(values) else fn(upper_bands(values))
-    return from_bands(lower, upper)
+    one fn call when the matrix is bitwise symmetric.  Each mapped band array
+    is written out before the next is built."""
+    symmetric = bitwise_symmetric(values)
+    bands = fn(upper_bands(values.T))
+    out = np.zeros(values.shape, dtype=bands.dtype)
+    _put(out, bands, upper=False)
+    if not symmetric:
+        del bands
+        bands = fn(upper_bands(values))
+    _put(out, bands, upper=True)
+    return out
 
 
 def band_solve(rhs, weight, denom) -> np.ndarray:

@@ -325,24 +325,24 @@ def _spec_numbers(spec_text: str, fields) -> list:
 
 
 # grid budgets for a peak of about 2 GiB.  At its peak diffusion holds the
-# kernel, the evolved kernel, the image profile, the band array being
-# multiplied and the products so far: 5 float64 (M+1)**2 arrays for a
-# bitwise-symmetric kernel such as bump, which maps one band array (0.95 GB
-# resident and a 1.18 GB address space at 4729 points), 6 for any other real
-# kernel, which maps two and so takes two matrix products per quadrature.  A
-# csv: kernel loads within it, at about 25 bytes per cell (33 if complex):
-# 0.59 GB resident for a real one at 4729 points.  A complex kernel's arrays
-# are twice as large, and each product multiplies their float64 view, so it
-# holds 11 float64 arrays (kernel 2, evolved 2, profile 1, first product 2,
-# band array 2, its product 2): the hermitian (1 + 0.5j x) bump(x) kernel
-# peaks at 1.86 GB resident and a 2047.5 MiB address space at 4527 points
-# (2048.5 MiB at 4528).  The kernel writer runs after the quadrature, with
-# the three grids live: its traced working set is 55 MB at 4729 points for
-# bump, mostly the text of the mirrored cells it keeps (about a quarter of
-# the cells), and 21 MB for the complex kernel at 4527, whose symmetry check
-# holds one bool per cell.  shift-demo takes about 340 bytes per point
+# kernel, the evolved kernel, the image profile, the resolvent's result, one
+# band array and the product of one grid-width block of that array's float64
+# view (see _apply_image_kernel).  In float64 (M+1)**2 arrays, with the
+# resident and address-space peaks (VmHWM, VmPeak) at 4729 points on a 2-core
+# host, that is
+# - 5 for a bitwise-symmetric kernel such as bump, which maps one band array
+#   before its result is allocated: 924 and 1051 MiB;
+# - 6 for a real csv: kernel that is not, which maps two, and so takes two
+#   matrix products per quadrature: 1095 and 1222 MiB;
+# - 10 for CI's hermitian (1 + 0.5j x) bump(x) csv: kernel, whose grids and
+#   band array take two each: 1775 and 1904 MiB.
+# A csv: kernel loads within it, at about 25 bytes per cell (33 if complex).
+# The kernel writer runs after the quadrature, with the three grids live: its
+# traced working set is 55 MB at 4729 points for bump, mostly the text of the
+# mirrored cells it keeps (about a quarter of the cells), and 22 MB for the
+# hermitian kernel, whose symmetry check holds one bool per cell.  shift-demo
+# takes about 340 bytes per point
 _DIFFUSION_POINTS = 4729
-_COMPLEX_DIFFUSION_POINTS = 4527
 _SHIFT_POINTS = 2 ** 22
 
 
@@ -379,12 +379,9 @@ def _build_kernel(spec_text: str, X: float, h: float, x: np.ndarray) -> KernelGr
         return KernelGrid(X, h, np.outer(p, p))
     if parts[0] == "csv" and len(parts) >= 2:
         try:
-            kernel = KernelGrid.from_csv(":".join(parts[1:]))
+            return KernelGrid.from_csv(":".join(parts[1:]), X, h)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad kernel CSV: {exc}") from None
-        if abs(kernel.X - X) > 1e-12 or abs(kernel.h - h) > 1e-12:
-            raise ConfigError("kernel CSV grid does not match the configured X, h")
-        return kernel
     raise ConfigError(f"unknown kernel spec {spec_text!r} "
                       "(use 'bump:<center>:<width>' or 'csv:<path>')")
 
@@ -394,9 +391,6 @@ def _run_diffusion(config: dict, writer: _Writer, seed: int) -> None:
     t, lam = float(config["t"]), float(config["lambda"])
     x = _grid(X, h, _DIFFUSION_POINTS)
     kernel = _build_kernel(config.get("kernel", "bump:2:0.4"), X, h, x)
-    if np.iscomplexobj(kernel.values) and kernel.npoints > _COMPLEX_DIFFUSION_POINTS:
-        raise ConfigError(f"a complex kernel takes at most {_COMPLEX_DIFFUSION_POINTS} "
-                          f"points a side, not {kernel.npoints}")
     evolved = apply_semigroup(kernel, t)
     resolved = apply_resolvent(kernel, lam)
     before, after = kernel_trace(kernel), kernel_trace(evolved)

@@ -126,6 +126,19 @@ class TestBandMap:
         want = from_bands(2.0 * low + 1.0, 2.0 * up + 1.0)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", BAND_MAP_MATRICES)
+    def test_fn_may_overwrite_its_band_array(self, name, rng):
+        a = BAND_MAP_MATRICES[name][0](rng)
+
+        def fn(bands):
+            bands *= 2.0
+            bands += 1.0
+            return bands
+
+        got = map_bands(a, fn)
+        want = from_bands(2.0 * upper_bands(a.T) + 1.0, 2.0 * upper_bands(a) + 1.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def stacked_birth_resolvent(rates, lam, rho):
     """birth_resolvent as one sweep over the lower and upper band arrays

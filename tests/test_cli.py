@@ -240,10 +240,10 @@ class TestDiffusionSubcommand:
         assert code == 0
 
     @pytest.mark.parametrize("complex_kernel", [True, False])
-    def test_complex_kernel_cap(self, tmp_path, capsys, monkeypatch, complex_kernel):
-        # a complex grid holds about twice the bytes of a real one, so it has
-        # its own, smaller cap; this 401-point grid is one point above it
-        monkeypatch.setattr(cli, "_COMPLEX_DIFFUSION_POINTS", 400)
+    def test_one_grid_cap(self, tmp_path, capsys, monkeypatch, complex_kernel):
+        # real and complex kernels share one cap; this 401-point grid is one
+        # point above it
+        monkeypatch.setattr(cli, "_DIFFUSION_POINTS", 400)
         x = 0.02 * np.arange(401)
         p = np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
         if complex_kernel:
@@ -253,19 +253,16 @@ class TestDiffusionSubcommand:
         code, out = run_cli(tmp_path, "diffusion",
                             {"X": 8.0, "h": 0.02, "t": 0.1, "lambda": 1.0,
                              "kernel": f"csv:{path}"})
-        if complex_kernel:
-            assert_clean_exit(capsys, code, 2, "config error: a complex kernel "
-                              "takes at most 400 points a side, not 401")
-            assert not any(out.iterdir())
-        else:
-            assert code == 0
+        assert_clean_exit(capsys, code, 2, "config error: X / h = 400 must be at "
+                          "most 399, for a grid of at most 400 points")
+        assert not any(out.iterdir())
 
     def test_complex_kernel_peak_memory(self, tmp_path):
         """Traced peak of a whole run on a complex, not bitwise-symmetric
         401-point csv: kernel, in units of one 401 x 401 float64 array: the
-        kernel and the evolved kernel (two each), the profile and, while the
-        resolvent is mapped, the band array, its product and the first
-        product (two each).  Casting the profile to complex took 13 units."""
+        kernel, the evolved kernel, and the resolvent's result and upper band
+        array (two each), the profile, and the product of one 401-column
+        block of that band array's float64 view (one each)."""
         x = 0.02 * np.arange(401)
         p = (1 + 0.5j * x) * np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
         path = tmp_path / "input_kernel.csv"
@@ -280,7 +277,7 @@ class TestDiffusionSubcommand:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 11.5 * 401 ** 2 * 8
+        assert peak <= 10.5 * 401 ** 2 * 8
 
     def test_tail_violation_exits_3(self, tmp_path):
         code, _ = run_cli(tmp_path, "diffusion",
@@ -587,8 +584,42 @@ class TestSpecParsing:
         points = round(X / h) + 1
         KernelGrid(X, h, np.ones((points, points))).to_csv(path)
         code, out = run_cli(tmp_path, "diffusion", {**DIFFUSION, "kernel": f"csv:{path}"})
-        assert_clean_exit(capsys, code, 2,
-                          "config error: kernel CSV grid does not match")
+        assert_clean_exit(capsys, code, 2, f"config error: bad kernel CSV: grid X, h "
+                          f"= {X:g}, {h:g} does not match the configured 4, 0.05")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("meta", ["12,0.02", "24,0.02"])
+    def test_oversized_kernel_csv_is_refused_before_parsing(self, tmp_path, capsys,
+                                                            meta):
+        """A 1201 x 1201 file for a 601-point config is refused, on its
+        metadata or on its first row, before a row of values is parsed:
+        the traced peak stays below one 601 x 601 float64 array."""
+        path = tmp_path / "kernel.csv"
+        path.write_text(f"{meta}\n" + (",".join(["1"] * 1201) + "\n") * 1201)
+        payload = {"X": 12.0, "h": 0.02, "t": 0.1, "lambda": 1.0, "kernel": f"csv:{path}"}
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            code, out = run_cli(tmp_path, "diffusion", payload)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
+        assert not any(out.iterdir())
+        assert peak < 601 ** 2 * 8
+
+    @pytest.mark.parametrize("cells, rows, tail, message", [
+        (81, 82, "", "kernel CSV holds more than the grid's 81 rows"),
+        (81, 81, "1\n", "kernel CSV holds more than the grid's 81 rows"),
+        (80, 81, "", "the first row holds 80 cells, not the grid's 81"),
+    ])
+    def test_kernel_csv_rows_off_the_grid_exit_2(self, tmp_path, capsys, cells, rows,
+                                                 tail, message):
+        path = tmp_path / "kernel.csv"
+        path.write_text("4,0.05\n" + (",".join(["1"] * cells) + "\n") * rows + tail)
+        code, out = run_cli(tmp_path, "diffusion", {**DIFFUSION, "kernel": f"csv:{path}"})
+        assert_clean_exit(capsys, code, 2, f"config error: bad kernel CSV: {message}")
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("psi", ["gauss:1.0005:1e-300", "gauss:4.0005:1e-310",

@@ -420,13 +420,12 @@ class TestImageKernelContraction:
     @pytest.mark.parametrize("quadrature", QUADRATURES)
     @pytest.mark.parametrize("name, units", [("symmetric", 3.5),
                                              ("one ulp off symmetric", 4.5),
-                                             ("hermitian", 7.5)])
+                                             ("hermitian", 6.5)])
     def test_peak_memory(self, name, units, quadrature):
         """Traced peak, the input excluded, in units of one 401 x 401 float64
-        array: the profile, the band array being multiplied and the products
-        so far; a bitwise-symmetric kernel maps one band array, any other
-        two.  A complex band array and its product take two units each, and
-        the profile is never cast to complex (which took 9 units)."""
+        array: the profile, the band array being multiplied, the product of
+        one 401-column block of its float64 view, and the result.  A complex
+        band array and the result take two units each."""
         kernel = QUADRATURE_KERNELS[name]()
         assert kernel.npoints == 401
         tracemalloc.start()
