@@ -78,9 +78,10 @@ _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 # each trajectory is reduced to its end time (8 B) as it is drawn, so memory
-# grows with samples alone.  At 10**6 samples, geom:2 took 9.3 s and an 83 MB
-# resident peak with no jump in the horizon (1e-9), 14.0 s and 83 MB with
-# 10**8 jumps (max_jumps 100, horizon 50)
+# grows with samples alone.  At 10**6 samples, geom:2 took 4.5-5.2 s with no
+# jump in the horizon (1e-9) and 7.9-8.9 s with 10**8 jumps (max_jumps 100,
+# horizon 50), each with a 60 MB resident and a 176 MB address-space peak,
+# on a 2-core host
 _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)
@@ -283,7 +284,7 @@ def _run_minimal(config: dict, writer: _Writer, seed: int) -> None:
 def _run_trajectory(config: dict, writer: _Writer, seed: int) -> None:
     rates = _parse_rates(config["rates"])
     n_start = config.get("n_start", 0)
-    if config["samples"] * config["max_jumps"] > 10 ** 8:  # about 14 s of jumps
+    if config["samples"] * config["max_jumps"] > 10 ** 8:  # about 9 s of jumps
         raise ConfigError("samples * max_jumps must be at most 10**8")
     streams = TrajectoryStreams(master_seed=seed)
     samples = iter_trajectories(rates, n_start, float(config["horizon"]),

@@ -22,8 +22,10 @@ stay 8*sqrt(t) away from the far edge (checked).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,10 +128,17 @@ class KernelGrid:
         numpy's C parser into an array of M + 1 rows allocated once, and a
         row past them is refused: about 25 bytes of peak memory per cell for
         a real grid and 33 for a complex one (tracemalloc), and about 0.10 s
-        for a real 601-point grid on a 2-core host."""
+        for a real 601-point grid on a 2-core host.
+
+        Every line goes through a bounded readline, never whole: 128
+        characters for the metadata row and _CELL_CHARS (64) per cell, so
+        (M + 1) * 64, for a row of values, newline included.  A '#' line of
+        any length is skipped in pieces of that size, and any other line
+        past its bound is refused with ValueError.  to_csv's widest cell has
+        49 characters, and the repr cells of earlier versions no more, so
+        every file either wrote stays within the bounds."""
         with open(path) as fh:
-            lines = (line for line in fh if line != "\n" and not line.startswith("#"))
-            meta = next(lines, "").split(",")
+            meta = _content_line(fh, 2 * _CELL_CHARS).split(",")
             if len(meta) != 2:
                 raise ValueError("kernel CSV must start with a metadata row 'X,h'")
             file_X, file_h = float(meta[0]), float(meta[1])
@@ -137,6 +146,7 @@ class KernelGrid:
             if X is not None and (abs(file_X - X) > 1e-12 or abs(file_h - h) > 1e-12):
                 raise ValueError(f"grid X, h = {file_X:g}, {file_h:g} does not "
                                  f"match the configured {X:g}, {h:g}")
+            lines = iter(functools.partial(_content_line, fh, (m + 1) * _CELL_CHARS), "")
             first = next(lines, None)
             if first is None:  # np.loadtxt would only warn
                 raise ValueError("kernel CSV has no rows of values")
@@ -150,6 +160,31 @@ class KernelGrid:
         if not np.any(values.imag):
             values = values.real
         return cls(X=file_X, h=file_h, values=values)
+
+
+# the characters a line of the kernel CSV may take per cell, its comma or
+# newline included: to_csv's widest cell, '%.17g%+.17gj' of two 24-character
+# parts, has 49
+_CELL_CHARS = 64
+
+
+def _content_line(fh, limit: int) -> str:
+    """The next line of `fh` that is neither blank nor a '#' comment, with
+    its newline; '' at the end of the file.  At most limit + 1 characters
+    are read at a time: a comment is skipped in such pieces, and any other
+    line longer than `limit` characters, its newline included, is refused
+    with ValueError before the rest of it is read."""
+    size = min(limit + 1, sys.maxsize)  # readline takes a C ssize_t
+    while True:
+        line = fh.readline(size)
+        if line.startswith("#"):
+            while line and not line.endswith("\n"):
+                line = fh.readline(size)
+        elif line != "\n":
+            if len(line) > limit:
+                raise ValueError(f"kernel CSV holds a line longer than {limit} "
+                                 "characters")
+            return line
 
 
 def _blocks(values: np.ndarray):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -141,6 +142,19 @@ class TestTrajectorySubcommand:
         code, out = run_cli(tmp_path, "trajectory",
                             {"rates": "const:1", "lambda": 1.0, "samples": 1,
                              "horizon": 0.001, "max_jumps": 10 ** 8})
+        assert code == 0
+        assert (out / "trajectory.csv").is_file()
+
+    def test_long_jump_cap_is_drawn_a_chunk_at_a_time(self, tmp_path):
+        """About 51 jumps per trajectory under a cap of 10**6: drawn up
+        front, the cap would take rates past geom:1.001's overflow near
+        level 710,000 and exit 3.  The row's product_value is a floor exit,
+        so abs_error is not held to three_se here."""
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, "trajectory",
+                            {"rates": "geom:1.001", "lambda": 1, "samples": 100,
+                             "horizon": 50, "max_jumps": 10 ** 6})
+        assert time.perf_counter() - start < 1.0
         assert code == 0
         assert (out / "trajectory.csv").is_file()
 
@@ -588,14 +602,19 @@ class TestSpecParsing:
                           f"= {X:g}, {h:g} does not match the configured 4, 0.05")
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("meta", ["12,0.02", "24,0.02"])
+    @pytest.mark.parametrize("meta, cells, rows", [("12,0.02", 1201, 1201),
+                                                   ("24,0.02", 1201, 1201),
+                                                   ("12,0.02", 10 ** 7, 1)],
+                             ids=["12,0.02", "24,0.02", "20 MB first row"])
     def test_oversized_kernel_csv_is_refused_before_parsing(self, tmp_path, capsys,
-                                                            meta):
+                                                            meta, cells, rows):
         """A 1201 x 1201 file for a 601-point config is refused, on its
-        metadata or on its first row, before a row of values is parsed:
-        the traced peak stays below one 601 x 601 float64 array."""
+        metadata or on its first row, before a row of values is parsed, and
+        a 20 MB one-line first row once 601 * 64 characters of it are read:
+        the traced peak stays below 1 MB (one 601 x 601 float64 array takes
+        2.9 MB)."""
         path = tmp_path / "kernel.csv"
-        path.write_text(f"{meta}\n" + (",".join(["1"] * 1201) + "\n") * 1201)
+        path.write_text(f"{meta}\n" + (",".join(["1"] * cells) + "\n") * rows)
         payload = {"X": 12.0, "h": 0.02, "t": 0.1, "lambda": 1.0, "kernel": f"csv:{path}"}
         tracemalloc.start()
         try:
@@ -607,7 +626,7 @@ class TestSpecParsing:
             tracemalloc.stop()
         assert_clean_exit(capsys, code, 2, "config error: bad kernel CSV")
         assert not any(out.iterdir())
-        assert peak < 601 ** 2 * 8
+        assert peak < 10 ** 6
 
     @pytest.mark.parametrize("cells, rows, tail, message", [
         (81, 82, "", "kernel CSV holds more than the grid's 81 rows"),

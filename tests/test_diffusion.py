@@ -336,6 +336,63 @@ class TestKernelWriter:
             tracemalloc.stop()
         assert peak <= 40 * 201 ** 2
 
+    @pytest.mark.parametrize("head, message", [
+        ("12,0.02\n", "longer than 38464 characters"),
+        ("", "longer than 128 characters"),
+        ("# " + "x" * 20_000_000 + "\n12,0.02\n", "longer than 38464 characters"),
+    ], ids=["first row", "metadata row", "comment, then first row"])
+    def test_long_line_is_never_held_whole(self, tmp_path, head, message):
+        """A 20 MB line, as the first row of a 601-point grid or as its
+        metadata row, is refused once its bound is read; a 20 MB comment is
+        skipped in pieces.  Read whole, such a first row took a traced peak
+        of 40 MB."""
+        path = tmp_path / "kernel.csv"
+        path.write_text(head + ",".join(["1"] * 10_000_000) + "\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match=message):
+                KernelGrid.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_row_bound_past_the_index_range_is_refused_by_cell_count(self, tmp_path):
+        # 10**300 intervals make a row bound that no readline size can hold
+        path = tmp_path / "kernel.csv"
+        path.write_text("1e300,1\n1\n")
+        with pytest.raises(ValueError, match="the first row holds 1 cells"):
+            KernelGrid.from_csv(path)
+
+    @pytest.mark.parametrize("pad, loads", [(0, True), (1, False)])
+    def test_row_bound_is_64_characters_per_cell(self, tmp_path, pad, loads):
+        """Cells padded with blanks to 64 characters each, commas and the
+        newline included, fill the bound exactly; one more blank is past it."""
+        cells = [" " * 62 + "1"] * 3
+        cells[-1] += " " * pad
+        path = tmp_path / "kernel.csv"
+        path.write_text("1,0.5\n" + (",".join(cells) + "\n") * 3)
+        assert len(path.read_text().splitlines()[1]) + 1 == 3 * 64 + pad
+        if loads:
+            assert KernelGrid.from_csv(path).values.tolist() == [[1.0] * 3] * 3
+        else:
+            with pytest.raises(ValueError, match="longer than 192 characters"):
+                KernelGrid.from_csv(path)
+
+    @pytest.mark.parametrize("writer", [KernelGrid.to_csv, repr_csv])
+    def test_widest_cells_stay_within_the_bound(self, tmp_path, writer):
+        """Negative normal parts of 17 digits and three-digit exponents are
+        the widest cells either writer makes: 49 characters, below 64."""
+        widest = complex(-2.2250738585072014e-308, -1.2345678901234567e-300)
+        grid = KernelGrid(X=1.5, h=0.5, values=np.full((4, 4), widest))
+        writer(grid, tmp_path / "kernel.csv")
+        rows = (tmp_path / "kernel.csv").read_text().splitlines()[1:]
+        assert max(map(len, ",".join(rows).split(","))) == 49
+        assert KernelGrid.from_csv(tmp_path / "kernel.csv").values.tolist() == \
+            grid.values.tolist()
+
 
 def bits(values):
     """The int64 view of a float or complex array, so -0.0 and 0.0 differ."""

@@ -183,12 +183,27 @@ def same_trajectory(a, b):
 
 
 LINEAR = PolynomialRates(1.0, 1.0)
+FIELDS = ("jump_times", "final_level", "exploded_within_horizon", "horizon")
+
+
+def tie(rates, k, max_jumps):
+    """A row whose horizon is the k-th jump time of the first trajectory
+    that stream 0 draws for it: that jump ties with the horizon."""
+    rng = TrajectoryStreams(master_seed=SEED).stream(0)
+    times = loop_sample_trajectory(rates, 0, math.inf, max_jumps, rng).jump_times
+    return rates, 0, float(times[k - 1]), max_jumps
+
+
+# a tie at the end of a full first chunk, with one chunk and with two, and
+# ties inside the first and the second chunk
+TIES = [tie(GEO, 64, 64), tie(GEO, 64, 65), tie(LINEAR, 10, 64), tie(LINEAR, 100, 500)]
 
 
 class TestSamplerMatchesLoop:
     # (rates, n_start, horizon, max_jumps): jump caps around and past one
     # chunk, horizons that stop linear rates inside the first, second and
-    # later chunks, no horizon at all, a later start and an explicit list
+    # later chunks, no horizon at all, a later start, an explicit list, and
+    # horizons on a jump time
     @pytest.mark.parametrize("rates, n_start, horizon, max_jumps", [
         *[(GEO, 0, 50.0, m) for m in (1, 63, 64, 65, 130, 500)],
         (LINEAR, 0, 2.0, 500),
@@ -196,6 +211,7 @@ class TestSamplerMatchesLoop:
         (LINEAR, 0, math.inf, 130),
         (GEO, 7, 50.0, 130),
         (ExplicitRates(tuple(1.0 + 0.5 * j for j in range(100))), 0, 4.0, 100),
+        *TIES,
     ])
     def test_same_draws_as_the_loop(self, rates, n_start, horizon, max_jumps):
         seed = TrajectoryStreams(master_seed=SEED)
@@ -208,6 +224,18 @@ class TestSamplerMatchesLoop:
             # a view of a longer chunk would keep that whole chunk alive, and
             # a record with a __dict__ would cost one more object per sample
             assert s.jump_times.flags.owndata and not hasattr(s, "__dict__")
+            # an immutable record that unpacks in field order
+            assert s._fields == FIELDS
+            assert all(a is getattr(s, name) for a, name in zip(s, FIELDS))
+            with pytest.raises(AttributeError):
+                s.final_level = 0
+
+    @pytest.mark.parametrize("rates, n_start, horizon, max_jumps", TIES)
+    def test_a_tie_with_the_horizon_counts_as_inside(self, rates, n_start, horizon,
+                                                     max_jumps):
+        s = sample_trajectory(rates, n_start, horizon, max_jumps,
+                              TrajectoryStreams(master_seed=SEED).stream(0))
+        assert horizon in s.jump_times and s.jump_times[-1] == horizon
 
     def test_horizon_stops_inside_the_first_and_second_chunk(self):
         rng = TrajectoryStreams(master_seed=SEED).stream(0)
