@@ -78,10 +78,10 @@ _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 # each trajectory is reduced to its end time (8 B) as it is drawn, so memory
-# grows with samples alone.  At 10**6 samples, geom:2 took 4.5-5.2 s with no
-# jump in the horizon (1e-9) and 7.9-8.9 s with 10**8 jumps (max_jumps 100,
+# grows with samples alone.  At 10**6 samples, geom:2 took 4.0-5.4 s with no
+# jump in the horizon (1e-9) and 7.6-10.0 s with 10**8 jumps (max_jumps 100,
 # horizon 50), each with a 60 MB resident and a 176 MB address-space peak,
-# on a 2-core host
+# on a loaded 2-core host
 _SAMPLES = ("at least 1 and at most 10**6", lambda v: 1 <= v <= 10 ** 6)
 # a trajectory's levels, n_start plus at most 10**8 jumps, are int64 indices
 _LEVEL = ("at least 0 and below 2**62", lambda v: 0 <= v < 2 ** 62)

@@ -78,7 +78,14 @@ class FalsifierError(RuntimeError):
 
 @dataclass(frozen=True)
 class FalsifierReport:
-    """Numerical ingredients of the non-standardness argument."""
+    """Numerical ingredients of the non-standardness argument.
+
+    At finite N the reset generator is conservative by algebra: tr g_hat(X)
+    = tr g(X) * (1 - tr rho_hat) = 0 for a unit-trace rho_hat.  So
+    reset_residual measures only the rounding of the dense exponential; the
+    paper's content, a reset semigroup that is not the minimal one, lives in
+    the limit N -> infinity, which no finite report reaches.
+    """
 
     interior_max_deviation: float
     reset_difference_trace_norm: float
@@ -133,7 +140,10 @@ def falsifier_report(rates: RateSequence, dim: int, lam: float = 1.0,
     (iii) the base semigroup loses normalization (positive defect) while the
          reset semigroup preserves it.  The defect of the reset state is the
          scalar p11: P R_lambda has rank one, and its powers act on the reset
-         state as p11^k.
+         state as p11^k.  At finite dim, g_hat preserves the trace by
+         algebra (tr g_hat(X) = tr g(X) * (1 - tr rho_hat) = 0), so the
+         reset residual is the dense exponential's rounding alone; the
+         non-standardness itself is a statement about dim -> infinity.
 
     g is the birth generator in band form, O(dim^2) per operator.  The trials
     are drawn at once and go through g and g_hat in stacks of at most 2**13

@@ -5,11 +5,17 @@ Trajectories are drawn in blocks of _BLOCK; the trajectories of one block
 draw in turn from one deterministic stream keyed by (master_seed, block id).
 Identical keys reproduce identical blocks no matter in which order or on how
 many workers the blocks are drawn.
+
+iter_trajectories draws each block's standard exponentials _DRAWS at a time
+and hands them out in order, so a trajectory costs no Generator call of its
+own.  Generator.standard_exponential fills its values one after another from
+the bit generator and keeps no state between calls, so each trajectory gets
+the bits it would get from the Generator itself; what the block's last
+trajectory leaves of a draw is dropped with the block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from collections import Counter
@@ -24,6 +30,8 @@ from .rates import RateSequence
 
 _CHUNK = 64
 _BLOCK = 4096
+_DRAWS = 2 ** 15  # standard exponentials per Generator call: 256 KB
+_RATE_CHUNKS_MAX = 128
 
 
 class BiasCheckError(RuntimeError):
@@ -67,12 +75,51 @@ class ShiftArrivalTable:
     norm_sq: float
 
 
-@functools.lru_cache(maxsize=128)
+class _BufferedExponentials:
+    """The standard_exponential(n) of one Generator, drawn _DRAWS at a time:
+    the next n values of its stream.  A request that runs past a draw joins
+    that draw's tail to the head of the next."""
+
+    __slots__ = ("_rng", "_draw", "_next")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._draw = np.empty(0)
+        self._next = 0
+
+    def standard_exponential(self, n: int) -> np.ndarray:
+        start = self._next
+        self._next = end = start + n
+        if end <= self._draw.size:
+            return self._draw[start:end]
+        tail = self._draw[start:]
+        self._draw = self._rng.standard_exponential(max(_DRAWS, n - tail.size))
+        self._next = n - tail.size
+        return np.concatenate((tail, self._draw[:self._next]))
+
+
+# (id(rates), level, count) -> (rates, read-only rates chunk), oldest first
+_rate_chunks: dict = {}
+
+
 def _rate_chunk(rates: RateSequence, level: int, count: int) -> np.ndarray:
     """rates.finite_mu_array(level, count), shared read-only between calls;
-    a NonFiniteError is raised again on every call, never cached."""
+    a NonFiniteError is raised again on every call, never cached.
+
+    The cache is keyed by the identity of `rates`, so a lookup runs neither
+    its __hash__ nor its __eq__; each entry holds `rates` itself, so that id
+    cannot pass to another object while the entry lives.  It keeps the
+    _RATE_CHUNKS_MAX newest entries.
+    """
+    key = (id(rates), level, count)
+    entry = _rate_chunks.get(key)
+    if entry is not None:
+        return entry[1]
     mu = rates.finite_mu_array(level, count)
     mu.flags.writeable = False
+    if len(_rate_chunks) >= _RATE_CHUNKS_MAX:
+        del _rate_chunks[next(iter(_rate_chunks))]
+    _rate_chunks[key] = (rates, mu)
     return mu
 
 
@@ -86,8 +133,9 @@ def sample_trajectory(rates: RateSequence, n_start: int, horizon: float,
     still falls inside the horizon.  A rate that is not finite would give
     holding times of 0 up to the jump cap; it is refused with NonFiniteError
     naming its level.  Each chunk of rates, at the levels n_start + k*_CHUNK,
-    comes from a bounded cache keyed by (rates, level, count), so `rates`
-    must be hashable.  The jump times own their data: a trajectory that
+    comes from a bounded cache keyed by (id(rates), level, count).  `rng` is
+    a Generator, or anything whose standard_exponential(n) returns the next
+    n values of a stream.  The jump times own their data: a trajectory that
     stops inside a chunk keeps a copy of its prefix, not a view that would
     hold the whole chunk alive.
     """
@@ -127,9 +175,10 @@ def iter_trajectories(rates: RateSequence, n_start: int, horizon: float,
                       max_jumps: int, streams: TrajectoryStreams,
                       count: int) -> Iterator[TrajectorySample]:
     """Draw `count` trajectories one at a time: trajectory i is drawn from
-    stream i // _BLOCK, after the earlier trajectories of its block."""
+    stream i // _BLOCK, after the earlier trajectories of its block, through
+    that stream's _DRAWS-value draws."""
     for first in range(0, count, _BLOCK):
-        rng = streams.stream(first // _BLOCK)
+        rng = _BufferedExponentials(streams.stream(first // _BLOCK))
         for _ in range(min(_BLOCK, count - first)):
             yield sample_trajectory(rates, n_start, horizon, max_jumps, rng)
 

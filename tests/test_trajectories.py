@@ -22,7 +22,9 @@ from semigroup_lab import (
 )
 from semigroup_lab.rates import ConstantRates, ExplicitRates, GeometricRates, \
     PolynomialRates
-from semigroup_lab.trajectories import _BLOCK, _CHUNK, _rate_chunk
+from semigroup_lab import trajectories
+from semigroup_lab.trajectories import _BLOCK, _CHUNK, _DRAWS, \
+    _BufferedExponentials, _rate_chunk
 
 GEO = GeometricRates(2.0)
 SEED = 20260810
@@ -277,6 +279,92 @@ class TestBlockStreams:
         assert np.array_equal(mu, GEO.mu_array(3, 64))
         with pytest.raises(ValueError, match="read-only"):
             mu[0] = 0.0
+
+
+class UnhashableGeometric(GeometricRates):
+    """Geometric rates that refuse to be hashed or compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("__eq__ called")
+
+    def __hash__(self):
+        raise AssertionError("__hash__ called")
+
+
+class TestBufferedDraws:
+    # max_jumps 60 does not divide 2**15, so trajectory 546's request spans
+    # a refill; 65 and 100 leave partial last chunks; linear rates stop at
+    # horizon 4.5 in later chunks; horizon 1e-9 stops every trajectory in
+    # its first chunk
+    @pytest.mark.parametrize("rates, n_start, horizon, max_jumps", [
+        (GEO, 0, 50.0, 60),
+        (GEO, 0, 50.0, 65),
+        (GEO, 0, 50.0, 100),
+        (LINEAR, 0, 4.5, 500),
+        (GEO, 0, 1e-9, 60),
+        (GEO, 7, 50.0, 60),
+    ])
+    def test_same_trajectories_as_the_generator(self, rates, n_start, horizon,
+                                                max_jumps):
+        streams = TrajectoryStreams(master_seed=SEED)
+        count = _BLOCK + 10
+        drawn = list(iter_trajectories(rates, n_start, horizon, max_jumps,
+                                       streams, count))
+        ref = []
+        for block in range(2):
+            rng = streams.stream(block)
+            ref += [sample_trajectory(rates, n_start, horizon, max_jumps, rng)
+                    for _ in range(min(_BLOCK, count - block * _BLOCK))]
+        assert len(drawn) == count
+        for d, r in zip(drawn, ref):
+            assert d.jump_times.tobytes() == r.jump_times.tobytes()
+            assert d[1:] == r[1:]
+        assert all(d.jump_times.flags.owndata for d in drawn)
+
+    def test_a_request_across_a_refill_owns_its_times(self):
+        # every trajectory explodes, so each draws exactly 60 values, and
+        # trajectory 546 draws values 32760-32819 of its block: across the
+        # first refill
+        drawn = list(iter_trajectories(GEO, 0, 50.0, 60,
+                                       TrajectoryStreams(master_seed=SEED), 547))
+        assert all(s.exploded_within_horizon for s in drawn)
+        assert 546 * 60 < _DRAWS < 547 * 60
+        assert drawn[546].jump_times.flags.owndata
+
+    def test_requests_across_refills_are_one_draw(self):
+        # sizes that end exactly on a refill, span one, and exceed one draw
+        sizes = [_DRAWS - 5, 5, 60, _DRAWS - 100, 3 * _DRAWS, 1, 64]
+        buffered = _BufferedExponentials(np.random.default_rng(SEED))
+        parts = [buffered.standard_exponential(n) for n in sizes]
+        assert [p.size for p in parts] == sizes
+        whole = np.random.default_rng(SEED).standard_exponential(sum(sizes))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+class TestRateChunkCache:
+    def test_identity_key_runs_no_hash_or_eq(self):
+        rng, ref_rng = (TrajectoryStreams(master_seed=SEED).stream(0) for _ in range(2))
+        rates = UnhashableGeometric(2.0)
+        for _ in range(3):
+            s = sample_trajectory(rates, 0, 50.0, 100, rng)
+            assert same_trajectory(s, sample_trajectory(GEO, 0, 50.0, 100, ref_rng))
+
+    def test_equal_distinct_objects_get_equal_chunks(self):
+        a, b = GeometricRates(2.0), GeometricRates(2.0)
+        assert a == b and a is not b
+        mu_a, mu_b = _rate_chunk(a, 5, 64), _rate_chunk(b, 5, 64)
+        assert mu_a is not mu_b and mu_a.tobytes() == mu_b.tobytes()
+
+    def test_bounded_oldest_out(self, monkeypatch):
+        monkeypatch.setattr(trajectories, "_rate_chunks", {})
+        objects = [GeometricRates(2.0) for _ in range(129)]
+        for rates in objects:
+            _rate_chunk(rates, 0, 8)
+        cache = trajectories._rate_chunks
+        assert len(cache) == 128
+        assert (id(objects[0]), 0, 8) not in cache
+        # each entry holds its rates object, so its id cannot be reused
+        assert all(cache[(id(r), 0, 8)][0] is r for r in objects[1:])
 
 
 class TestEmpiricalLaplace:
